@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .polynomials import Monomial, Polynomial, ZeroPolynomialError, variable
+from .polynomials import Polynomial, ZeroPolynomialError, variable
 
 Permutation = tuple[int, ...]  # images of 1..k, so tau[j-1] is tau(j)
 
@@ -79,25 +79,7 @@ def raising_operator(f: Polynomial, p: int, q: int) -> Polynomial:
     """The operator sum_j x[p][j] * df/dx[q][j], moving row q content to row p."""
     if not (1 <= p < q):
         raise ValueError(f"raising operator needs 1 <= p < q, got ({p}, {q})")
-    out: dict[Monomial, int] = {}
-    for mono, coeff in f.terms():
-        exps = mono.exponents()
-        for (row, col), e in exps.items():
-            if row != q:
-                continue
-            shifted = dict(exps)
-            if e == 1:
-                del shifted[(q, col)]
-            else:
-                shifted[(q, col)] = e - 1
-            shifted[(p, col)] = shifted.get((p, col), 0) + 1
-            m = Monomial(shifted)
-            c = out.get(m, 0) + coeff * e
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return Polynomial(out)
+    return f.polarize(p, q)
 
 
 def add_row_multiple(f: Polynomial, p: int, q: int, c: int) -> Polynomial:

@@ -7,14 +7,20 @@ Subcommands:
 * kostka: one Kostka number.
 * verify: run the named self-check suite; exits 1 if anything fails.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes:
+
+* 0: success.
+* 1: verification failure (some check of ``verify`` failed).
+* 2: usage error, including a malformed PLETHYSM_MAX_DIM.
+* 3: instance too large (a kernel computation exceeds the size bound).
+
+Codes 2 and 3 come with a one-line message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import hwv, oracle, tableaux, verify
@@ -132,13 +138,8 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--shape has more than k = {args.k} rows; no words exist")
     if sum(shape) != args.k * args.m:
         parser.error(f"|shape| must equal k*m = {args.k * args.m}")
-    if args.k == 3:
-        words = hwv.words_for_weight(args.m, shape, args.variant)
-    else:
-        words = [
-            w for w in hwv.enumerate_basis_k2(args.m, args.variant)
-            if w.diagram() == shape
-        ]
+    entries = hwv.decompose(args.k, args.m, args.variant).entries
+    words = next((e.words for e in entries if e.diagram == shape), ())
     if args.format == "json":
         obj = {
             "k": args.k,
@@ -173,9 +174,9 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--m must be nonnegative")
     if args.n < 3:
         parser.error("--n must be at least 3")
-    max_dim = args.max_dim
-    if max_dim is None:
-        max_dim = int(os.environ.get("PLETHYSM_MAX_DIM", "2000"))
+    if args.max_dim is not None and args.max_dim < 0:
+        parser.error("--max-dim must be nonnegative")
+    max_dim = oracle.default_max_dim() if args.max_dim is None else args.max_dim
     results = verify.run_verification(
         m_max=args.m, n=args.n, max_dim=max_dim,
         force_gamma1_variant=args.force_printed_discriminant,
@@ -208,7 +209,14 @@ def main(argv: list[str] | None = None) -> int:
         "kostka": cmd_kostka,
         "verify": cmd_verify,
     }
-    return handlers[args.command](parser, args)
+    try:
+        return handlers[args.command](parser, args)
+    except oracle.InstanceTooLargeError as exc:
+        print(f"plethysm: instance too large: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"plethysm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

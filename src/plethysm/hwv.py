@@ -303,7 +303,6 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
     words = []
     for var in variants:
         f_values = (0, 1) if var == "sym" else (0,)
-        base = {"sym": 0, "alt_gamma1": 1, "alt_gamma2": 2}[var]
         for f in f_values:
             # grade = a + 2b + 3c + (2d + 4e) + fixed offset from f or the
             # forced odd gamma exponent

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from functools import lru_cache
 
 from .actions import raising_operator
@@ -34,8 +35,14 @@ class InstanceTooLargeError(RuntimeError):
 
 
 def default_max_dim() -> int:
-    """Size bound for kernel computations; PLETHYSM_MAX_DIM overrides it."""
-    return int(os.environ.get("PLETHYSM_MAX_DIM", "2000"))
+    """Size bound for kernel computations; PLETHYSM_MAX_DIM overrides it.
+
+    Raises ValueError unless the variable, when set, is a non-negative integer.
+    """
+    raw = os.environ.get("PLETHYSM_MAX_DIM", "2000")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"PLETHYSM_MAX_DIM must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @lru_cache(maxsize=None)
@@ -68,11 +75,9 @@ def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...],
         triples = itertools.combinations(monos, 3)
     else:
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
-    table: dict[tuple[int, ...], int] = {}
-    for m1, m2, m3 in triples:
-        weight = tuple(a + b + c for a, b, c in zip(m1, m2, m3))
-        table[weight] = table.get(weight, 0) + 1
-    return table
+    return dict(Counter(
+        tuple(a + b + c for a, b, c in zip(m1, m2, m3)) for m1, m2, m3 in triples
+    ))
 
 
 def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]:

@@ -19,7 +19,11 @@ precision.  Both types are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+import itertools
+from bisect import bisect_left
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
+
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 class ZeroPolynomialError(ValueError):
@@ -35,6 +39,32 @@ class NotIsobaricError(ValueError):
 
 
 VarId = tuple[int, int]  # (row, col), both 1-based
+Pairs = tuple[tuple[tuple[int, int], int], ...]  # sorted ((col, row), exponent)
+
+
+def _sum_terms(terms: Iterable[tuple[_Key, int]]) -> dict[_Key, int]:
+    """Add up the values of repeated keys, then drop the keys that sum to zero.
+
+    This is the one place where like terms are collected: coefficients keyed
+    by monomial, and exponents keyed by variable.
+    """
+    out: dict[_Key, int] = {}
+    for key, value in terms:
+        out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
+def _bump(pairs: Pairs, key: tuple[int, int], step: int) -> Pairs:
+    """The pairs with the exponent on (col, row) `key` changed by `step`.
+
+    A variable whose exponent reaches zero loses its pair, and an absent one
+    gains a pair at its place in the variable chain.
+    """
+    at = bisect_left(pairs, (key,))
+    if at < len(pairs) and pairs[at][0] == key:
+        exp = pairs[at][1] + step
+        return pairs[:at] + (((key, exp),) if exp else ()) + pairs[at + 1:]
+    return pairs[:at] + ((key, step),) + pairs[at:]
 
 
 class Monomial:
@@ -55,13 +85,13 @@ class Monomial:
         pairs.sort()
         self._init_from_pairs(tuple(pairs))
 
-    def _init_from_pairs(self, pairs: tuple[tuple[tuple[int, int], int], ...]) -> None:
+    def _init_from_pairs(self, pairs: Pairs) -> None:
         self._pairs = pairs
         self._degree = sum(e for _, e in pairs)
         self._hash = hash(pairs)
 
     @classmethod
-    def _from_pairs(cls, pairs: tuple[tuple[tuple[int, int], int], ...]) -> "Monomial":
+    def _from_pairs(cls, pairs: Pairs) -> "Monomial":
         m = cls.__new__(cls)
         m._init_from_pairs(pairs)
         return m
@@ -169,12 +199,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    self._terms[mono] = self._terms.get(mono, 0) + coeff
-            self._terms = {m: c for m, c in self._terms.items() if c}
+        self._terms: dict[Monomial, int] = _sum_terms(terms.items()) if terms else {}
 
     @classmethod
     def _make(cls, terms: dict[Monomial, int]) -> "Polynomial":
@@ -225,14 +250,9 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return Polynomial._make(out)
+        return Polynomial._make(
+            _sum_terms(itertools.chain(self._terms.items(), other._terms.items()))
+        )
 
     __radd__ = __add__
 
@@ -256,16 +276,10 @@ class Polynomial:
             return Polynomial._make({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                c = out.get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
-        return Polynomial._make(out)
+        right = other._terms.items()
+        return Polynomial._make(_sum_terms(
+            (m1 * m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right
+        ))
 
     __rmul__ = __mul__
 
@@ -356,51 +370,49 @@ class Polynomial:
                 raise KeyError(f"no image for variable x[{var[0]}][{var[1]}]")
             img = sub[var]
             images[var] = Polynomial.constant(img) if isinstance(img, int) else img
-        total = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for (row, col), e in mono.exponents().items():
-                term = term * images[(row, col)] ** e
-            total = total + term
-        return total
+
+        def images_of_terms() -> Iterator[tuple[Monomial, int]]:
+            for mono, coeff in self._terms.items():
+                term = Polynomial.constant(coeff)
+                for (col, row), e in mono._pairs:
+                    term = term * images[(row, col)] ** e
+                yield from term._terms.items()
+
+        return Polynomial._make(_sum_terms(images_of_terms()))
 
     def rename_variables(self, rename: Callable[[int, int], VarId]) -> "Polynomial":
         """Apply the monomial map x[i][j] -> x[rename(i, j)]."""
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            exps: dict[VarId, int] = {}
-            for (row, col), e in mono.exponents().items():
-                tgt = rename(row, col)
-                exps[tgt] = exps.get(tgt, 0) + e
-            m = Monomial(exps)
-            c = out.get(m, 0) + coeff
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-        return Polynomial._make(out)
+        def image(mono: Monomial) -> Monomial:
+            return Monomial(_sum_terms((rename(r, c), e) for (c, r), e in mono._pairs))
+
+        return Polynomial._make(
+            _sum_terms((image(mono), coeff) for mono, coeff in self._terms.items())
+        )
 
     def partial_derivative(self, row: int, col: int) -> "Polynomial":
         """Formal partial derivative with respect to x[row][col]."""
-        out: dict[Monomial, int] = {}
         key = (col, row)
-        for mono, coeff in self._terms.items():
-            pairs = mono._pairs
-            for idx, (k, e) in enumerate(pairs):
-                if k != key:
-                    continue
-                if e == 1:
-                    new = pairs[:idx] + pairs[idx + 1:]
-                else:
-                    new = pairs[:idx] + ((k, e - 1),) + pairs[idx + 1:]
-                m = Monomial._from_pairs(new)
-                c = out.get(m, 0) + coeff * e
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
-                break
-        return Polynomial._make(out)
+        return Polynomial._make(_sum_terms(
+            (Monomial._from_pairs(_bump(mono._pairs, key, -1)), coeff * e)
+            for mono, coeff in self._terms.items()
+            for k, e in mono._pairs
+            if k == key
+        ))
+
+    def polarize(self, p: int, q: int) -> "Polynomial":
+        """The polarization operator sum_j x[p][j] * d/dx[q][j].
+
+        Each factor x[q][j] of each monomial is moved in turn to x[p][j],
+        weighted by its exponent.
+        """
+        def moved() -> Iterator[tuple[Monomial, int]]:
+            for mono, coeff in self._terms.items():
+                for (col, row), e in mono._pairs:
+                    if row == q:
+                        pairs = _bump(_bump(mono._pairs, (col, q), -1), (col, p), 1)
+                        yield Monomial._from_pairs(pairs), coeff * e
+
+        return Polynomial._make(_sum_terms(moved()))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -433,11 +445,10 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "Polynomial":
-        terms: dict[Monomial, int] = {}
-        for term in obj:
-            mono = Monomial({(r, c): e for r, c, e in term["exps"]})
-            terms[mono] = terms.get(mono, 0) + int(term["coeff"])
-        return cls(terms)
+        return cls._make(_sum_terms(
+            (Monomial({(r, c): e for r, c, e in term["exps"]}), int(term["coeff"]))
+            for term in obj
+        ))
 
 
 def variable(row: int, col: int) -> Polynomial:

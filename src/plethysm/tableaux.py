@@ -20,9 +20,11 @@ of the weight-D component of the highest weight space they span.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
-from .polynomials import Monomial, Polynomial
+from .actions import permutation_sign
+from .polynomials import Monomial, Polynomial, variable
 
 Diagram = tuple[int, ...]
 
@@ -208,16 +210,11 @@ def column_minor(entries: tuple[int, ...]) -> Polynomial:
     s = len(entries)
     if any(entries[i] >= entries[i + 1] for i in range(s - 1)):
         raise ValueError(f"column indices must strictly increase, got {entries}")
-    terms: dict[Monomial, int] = {}
-    for perm in itertools.permutations(range(s)):
-        sign = 1
-        for a in range(s):
-            for b in range(a + 1, s):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        mono = Monomial({(r + 1, entries[perm[r]]): 1 for r in range(s)})
-        terms[mono] = terms.get(mono, 0) + sign
-    return Polynomial(terms)
+    # distinct permutations give distinct monomials, so nothing cancels
+    return Polynomial({
+        Monomial({(r + 1, entries[perm[r]]): 1 for r in range(s)}): permutation_sign(perm)
+        for perm in itertools.permutations(range(s))
+    })
 
 
 def delta_tableau(T: Tableau, n: int | None = None) -> Polynomial:
@@ -234,11 +231,9 @@ def delta_tableau(T: Tableau, n: int | None = None) -> Polynomial:
 
 def content_monomial(T: Tableau) -> Monomial:
     """m_T: exponent of x[i][j] counts the entries j in row i of T."""
-    exps: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(T.rows, start=1):
-        for entry in row:
-            exps[(i, entry)] = exps.get((i, entry), 0) + 1
-    return Monomial(exps)
+    return Monomial(Counter(
+        (i, entry) for i, row in enumerate(T.rows, start=1) for entry in row
+    ))
 
 
 def standard_monomial_basis(m: int, shape, k: int) -> list[Polynomial]:
@@ -256,22 +251,12 @@ def specht_map(f: Polynomial, k: int | None = None) -> Polynomial:
     column permutation action with the S_k action on polynomials in the
     single-row variables, up to the character twist carried along by minors.
     """
-    out: dict[Monomial, int] = {}
-    for mono, coeff in f.terms():
-        exps: dict[tuple[int, int], int] = {}
-        for (row, col), e in mono.exponents().items():
-            if k is not None and col > k:
-                raise ValueError(f"column {col} exceeds declared width {k}")
-            if row == 1:
-                continue
-            exps[(1, col)] = exps.get((1, col), 0) + (row - 1) * e
-        m = Monomial(exps)
-        c = out.get(m, 0) + coeff
-        if c:
-            out[m] = c
-        elif m in out:
-            del out[m]
-    return Polynomial(out)
+    sub = {}
+    for row, col in f.variables():
+        if k is not None and col > k:
+            raise ValueError(f"column {col} exceeds declared width {k}")
+        sub[(row, col)] = variable(1, col) ** (row - 1)
+    return f.substitute(sub)
 
 
 def specht_polynomial(T: Tableau) -> Polynomial:
@@ -281,8 +266,6 @@ def specht_polynomial(T: Tableau) -> Polynomial:
     prod_{p<q} (x[1][t_q] - x[1][t_p]), the image of that column's minor
     under the substitution x[i][j] -> x[1][j]^(i-1).
     """
-    from .polynomials import variable
-
     poly = Polynomial.one()
     for col in T.columns():
         for a in range(len(col)):

@@ -11,13 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
 from . import actions, hwv, oracle, tableaux
 from .polynomials import Monomial
 
-GOLDEN_CASES = tuple(
-    (m, variant) for m in range(1, 7) for variant in ("sym", "alt")
-)
+
+def _components(m_lo: int, m_hi: int) -> Iterator[tuple[int, str]]:
+    """(m, variant) for m_lo <= m <= m_hi, sym before alt; alt needs m >= 1."""
+    for m in range(m_lo, m_hi + 1):
+        yield m, "sym"
+        if m >= 1:
+            yield m, "alt"
+
+
+GOLDEN_CASES = tuple(_components(1, 6))
 
 
 @dataclass(frozen=True)
@@ -126,34 +134,32 @@ def check_word_leading_monomials(max_grade: int) -> CheckResult:
     seen: dict[Monomial, str] = {}
     count = 0
     problems = []
-    for m in range(0, max_grade + 1):
-        variants = ["sym"] + (["alt"] if m >= 1 else [])
-        for variant in variants:
-            for word in hwv.enumerate_basis(m, variant):
-                count += 1
-                poly = word.expand()
-                if poly.is_zero:
-                    problems.append(f"{word} expands to zero")
-                    continue
-                mono, coeff = poly.leading_monomial()
-                p, q = word.gamma1_exponent, word.gamma2_exponent
-                a, b, c = word.a, word.b, word.c
-                wanted = Monomial({
-                    (1, 1): a + 2 * b + 3 * c + p + 2 * q,
-                    (1, 2): a + 2 * b + 3 * c + q,
-                    (1, 3): a,
-                    (2, 2): p + q,
-                    (2, 3): 2 * b + 3 * c + 2 * q,
-                    (3, 3): p,
-                })
-                if mono != wanted:
-                    problems.append(f"{word}: leading monomial {mono}")
-                if coeff != 2 ** c:
-                    problems.append(f"{word}: leading coefficient {coeff}")
-                prior = seen.get(mono)
-                if prior is not None:
-                    problems.append(f"collision {prior} vs {word} ({variant})")
-                seen[mono] = f"{word} ({variant})"
+    for m, variant in _components(0, max_grade):
+        for word in hwv.enumerate_basis(m, variant):
+            count += 1
+            poly = word.expand()
+            if poly.is_zero:
+                problems.append(f"{word} expands to zero")
+                continue
+            mono, coeff = poly.leading_monomial()
+            p, q = word.gamma1_exponent, word.gamma2_exponent
+            a, b, c = word.a, word.b, word.c
+            wanted = Monomial({
+                (1, 1): a + 2 * b + 3 * c + p + 2 * q,
+                (1, 2): a + 2 * b + 3 * c + q,
+                (1, 3): a,
+                (2, 2): p + q,
+                (2, 3): 2 * b + 3 * c + 2 * q,
+                (3, 3): p,
+            })
+            if mono != wanted:
+                problems.append(f"{word}: leading monomial {mono}")
+            if coeff != 2 ** c:
+                problems.append(f"{word}: leading coefficient {coeff}")
+            prior = seen.get(mono)
+            if prior is not None:
+                problems.append(f"collision {prior} vs {word} ({variant})")
+            seen[mono] = f"{word} ({variant})"
     return CheckResult(
         "word-leading-monomials",
         not problems,
@@ -235,15 +241,12 @@ def check_golden_tables() -> CheckResult:
 def check_against_kostka_oracle(m_max: int, n: int) -> CheckResult:
     problems = []
     cases = 0
-    for m in range(0, m_max + 1):
-        for variant in ("sym", "alt"):
-            if variant == "alt" and m < 1:
-                continue
-            cases += 1
-            basis = hwv.decompose(3, m, variant).multiplicities()
-            table = oracle.multiplicities_by_kostka(m, n, variant)
-            if basis != table:
-                problems.append(f"m={m} {variant}: words {basis} vs oracle {table}")
+    for m, variant in _components(0, m_max):
+        cases += 1
+        basis = hwv.decompose(3, m, variant).multiplicities()
+        table = oracle.multiplicities_by_kostka(m, n, variant)
+        if basis != table:
+            problems.append(f"m={m} {variant}: words {basis} vs oracle {table}")
     return CheckResult(
         "basis-vs-kostka-oracle",
         not problems,
@@ -256,20 +259,17 @@ def check_against_kernel_oracle(m_max: int, n: int,
                                 max_dim: int | None = None) -> CheckResult:
     problems = []
     cases = 0
-    for m in range(0, m_max + 1):
-        for variant in ("sym", "alt"):
-            if variant == "alt" and m < 1:
-                continue
-            counts = hwv.decompose(3, m, variant).multiplicities()
-            for shape in _partitions(3 * m, 3):
-                cases += 1
-                kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant,
-                                                        max_dim=max_dim)
-                if kernel != counts.get(shape, 0):
-                    problems.append(
-                        f"m={m} {variant} {shape}: kernel {kernel}, "
-                        f"words {counts.get(shape, 0)}"
-                    )
+    for m, variant in _components(0, m_max):
+        counts = hwv.decompose(3, m, variant).multiplicities()
+        for shape in _partitions(3 * m, 3):
+            cases += 1
+            kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant,
+                                                    max_dim=max_dim)
+            if kernel != counts.get(shape, 0):
+                problems.append(
+                    f"m={m} {variant} {shape}: kernel {kernel}, "
+                    f"words {counts.get(shape, 0)}"
+                )
     return CheckResult(
         "basis-vs-kernel-oracle",
         not problems,
@@ -281,16 +281,13 @@ def check_against_kernel_oracle(m_max: int, n: int,
 def check_closed_form(m_max: int) -> CheckResult:
     problems = []
     cases = 0
-    for m in range(0, m_max + 1):
-        for variant in ("sym", "alt"):
-            if variant == "alt" and m < 1:
-                continue
-            counts = hwv.decompose(3, m, variant).multiplicities()
-            for shape in _partitions(3 * m, 3):
-                cases += 1
-                formula = hwv.multiplicity_closed_form(shape, variant)
-                if formula != counts.get(shape, 0):
-                    problems.append(f"m={m} {variant} {shape}")
+    for m, variant in _components(0, m_max):
+        counts = hwv.decompose(3, m, variant).multiplicities()
+        for shape in _partitions(3 * m, 3):
+            cases += 1
+            formula = hwv.multiplicity_closed_form(shape, variant)
+            if formula != counts.get(shape, 0):
+                problems.append(f"m={m} {variant} {shape}")
     return CheckResult(
         "multiplicity-closed-form",
         not problems,
@@ -346,29 +343,26 @@ def check_standard_monomials(m_max: int, n: int = 4) -> CheckResult:
 
 def check_k2(m_max: int = 10) -> CheckResult:
     problems = []
-    for m in range(0, m_max + 1):
-        for variant in ("sym", "alt"):
-            if variant == "alt" and m < 1:
-                continue
-            report = hwv.decompose(2, m, variant)
-            want = {
-                tableaux.normalize_partition((2 * m - j, j))
-                for j in range(0 if variant == "sym" else 1, m + 1, 2)
-            }
-            if set(report.multiplicities()) != want:
-                problems.append(f"m={m} {variant}: diagrams")
-            if any(mult != 1 for mult in report.multiplicities().values()):
-                problems.append(f"m={m} {variant}: multiplicity")
-            for entry in report.entries:
-                for word in entry.words:
-                    poly = word.expand()
-                    if not actions.is_un_invariant(poly, 2):
-                        problems.append(f"{word} not highest weight")
-                    swapped = actions.permute_columns(
-                        poly, actions.transposition(2, 1, 2))
-                    expected = poly if word.j % 2 == 0 else -poly
-                    if swapped != expected:
-                        problems.append(f"{word} has wrong swap sign")
+    for m, variant in _components(0, m_max):
+        report = hwv.decompose(2, m, variant)
+        want = {
+            tableaux.normalize_partition((2 * m - j, j))
+            for j in range(0 if variant == "sym" else 1, m + 1, 2)
+        }
+        if set(report.multiplicities()) != want:
+            problems.append(f"m={m} {variant}: diagrams")
+        if any(mult != 1 for mult in report.multiplicities().values()):
+            problems.append(f"m={m} {variant}: multiplicity")
+        for entry in report.entries:
+            for word in entry.words:
+                poly = word.expand()
+                if not actions.is_un_invariant(poly, 2):
+                    problems.append(f"{word} not highest weight")
+                swapped = actions.permute_columns(
+                    poly, actions.transposition(2, 1, 2))
+                expected = poly if word.j % 2 == 0 else -poly
+                if swapped != expected:
+                    problems.append(f"{word} has wrong swap sign")
     return CheckResult(
         "pair-case-complete",
         not problems,
@@ -422,21 +416,18 @@ def check_dimension_conservation(m_max: int) -> CheckResult:
     problems = []
     cases = 0
     for n in (3, 4):
-        for m in range(0, m_max + 1):
+        for m, variant in _components(0, m_max):
             d = math.comb(m + n - 1, n - 1)
-            for variant, total in (("sym", math.comb(d + 2, 3)),
-                                   ("alt", math.comb(d, 3))):
-                if variant == "alt" and m < 1:
-                    continue
-                cases += 1
-                report = hwv.decompose(3, m, variant)
-                found = sum(
-                    entry.multiplicity * oracle.weyl_dimension(entry.diagram, n)
-                    for entry in report.entries
-                    if len(entry.diagram) <= n
-                )
-                if found != total:
-                    problems.append(f"m={m} n={n} {variant}: {found} != {total}")
+            total = math.comb(d + 2, 3) if variant == "sym" else math.comb(d, 3)
+            cases += 1
+            report = hwv.decompose(3, m, variant)
+            found = sum(
+                entry.multiplicity * oracle.weyl_dimension(entry.diagram, n)
+                for entry in report.entries
+                if len(entry.diagram) <= n
+            )
+            if found != total:
+                problems.append(f"m={m} n={n} {variant}: {found} != {total}")
     return CheckResult(
         "dimension-conservation",
         not problems,

@@ -17,7 +17,7 @@ from plethysm.actions import (
     transposition,
 )
 from plethysm.hwv import beta_general, delta_minor, generators_k3, t_general
-from plethysm.polynomials import Polynomial, ZeroPolynomialError, variable
+from plethysm.polynomials import Monomial, Polynomial, ZeroPolynomialError, variable
 
 
 def x(i, j):
@@ -124,6 +124,58 @@ def test_raising_operator_basics():
     assert raising_operator(f, 1, 2) == x(1, 1) * x(2, 2) + x(2, 1) * x(1, 2)
     with pytest.raises(ValueError):
         raising_operator(f, 2, 2)
+
+
+def reference_raising_operator(f, p, q):
+    """The dict-based raising operator that Polynomial.polarize replaced."""
+    out = {}
+    for mono, coeff in f.terms():
+        exps = mono.exponents()
+        for (row, col), e in exps.items():
+            if row != q:
+                continue
+            shifted = dict(exps)
+            if e == 1:
+                del shifted[(q, col)]
+            else:
+                shifted[(q, col)] = e - 1
+            shifted[(p, col)] = shifted.get((p, col), 0) + 1
+            m = Monomial(shifted)
+            c = out.get(m, 0) + coeff * e
+            if c:
+                out[m] = c
+            elif m in out:
+                del out[m]
+    return Polynomial(out)
+
+
+matrix_polys = st.dictionaries(
+    st.dictionaries(
+        st.tuples(st.integers(1, 4), st.integers(1, 3)), st.integers(1, 3), max_size=5
+    ).map(Monomial),
+    st.integers(-4, 4),
+    max_size=6,
+).map(Polynomial)
+
+row_pairs = st.sampled_from([(p, q) for q in range(2, 5) for p in range(1, q)])
+
+
+@given(matrix_polys, row_pairs)
+def test_raising_operator_matches_dict_reference(f, pq):
+    p, q = pq
+    assert raising_operator(f, p, q) == reference_raising_operator(f, p, q)
+
+
+def test_raising_operator_inserts_past_a_populated_middle_row():
+    # x[1][j] lands before x[2][j], which sits between rows p = 1 and q = 3
+    f = x(2, 1) * x(3, 1) ** 2 * x(3, 2) + 5 * x(1, 1) * x(2, 1) * x(3, 1)
+    for p, q in ((1, 3), (2, 3), (1, 2)):
+        assert raising_operator(f, p, q) == reference_raising_operator(f, p, q)
+    assert raising_operator(f, 1, 3) == (
+        2 * x(1, 1) * x(2, 1) * x(3, 1) * x(3, 2)
+        + x(2, 1) * x(3, 1) ** 2 * x(1, 2)
+        + 5 * x(1, 1) ** 2 * x(2, 1)
+    )
 
 
 def test_raising_kills_minors():

@@ -130,3 +130,37 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def test_hwv_k2_reads_the_decomposition(capsys):
+    code, out = run(capsys, "hwv", "--k", "2", "--m", "3", "--variant", "alt",
+                    "--shape", "5,1")
+    assert code == 0
+    assert out.splitlines() == ["a^2*g  grade=3  weight=(5,1)"]
+    code, out = run(capsys, "hwv", "--k", "2", "--m", "3", "--shape", "5,1")
+    assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_malformed_max_dim_env_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("PLETHYSM_MAX_DIM", value)
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"plethysm: error: PLETHYSM_MAX_DIM must be a non-negative integer, got {value!r}\n"
+    )
+
+
+def test_negative_max_dim_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--max-dim", "-1"])
+    assert err.value.code == 2
+    assert "--max-dim must be nonnegative" in capsys.readouterr().err
+
+
+def test_instance_too_large_exits_3(capsys):
+    assert main(["verify", "--m", "3", "--max-dim", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("plethysm: instance too large: ")
+    assert captured.err.count("\n") == 1

@@ -166,6 +166,22 @@ def test_partial_derivative():
     assert f.partial_derivative(3, 3) == 0
 
 
+def test_cancelling_terms_are_dropped():
+    mono = Monomial({(1, 1): 1, (2, 2): 1})
+    f = Polynomial({mono: 3, Monomial({(1, 2): 1}): 1})
+    g = Polynomial({mono: -3})
+    assert (f + g).monomials() == {Monomial({(1, 2): 1})}
+    # (x11 + x21) * (x11 - x21): the mixed terms cancel
+    product = (x(1, 1) + x(2, 1)) * (x(1, 1) - x(2, 1))
+    assert product.monomials() == {Monomial({(1, 1): 2}), Monomial({(2, 1): 2})}
+    obj = [
+        {"coeff": "2", "exps": [[1, 1, 1]]},
+        {"coeff": "-2", "exps": [[1, 1, 1]]},
+        {"coeff": "1", "exps": [[2, 2, 1]]},
+    ]
+    assert Polynomial.from_json_obj(obj).monomials() == {Monomial({(2, 2): 1})}
+
+
 def test_rename_variables_merges():
     f = x(1, 1) * x(1, 2)
     assert f.rename_variables(lambda i, j: (1, 1)) == x(1, 1) ** 2
@@ -257,6 +273,14 @@ def test_substitution_is_a_ring_map(f, g):
 def test_derivative_leibniz(f, g):
     dfg = (f * g).partial_derivative(2, 2)
     assert dfg == f.partial_derivative(2, 2) * g + f * g.partial_derivative(2, 2)
+
+
+@given(polys(), st.integers(1, 3), st.integers(1, 3))
+def test_polarize_is_a_sum_of_derivatives(f, p, q):
+    expected = Polynomial.zero()
+    for j in range(1, 4):
+        expected = expected + variable(p, j) * f.partial_derivative(q, j)
+    assert f.polarize(p, q) == expected
 
 
 @given(polys())
