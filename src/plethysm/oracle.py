@@ -4,10 +4,12 @@ Two cross-checks that share no code with the word enumeration:
 
 1. Character counting.  The dimension of a weight space of S^3(S^m(C^n)) is
    the number of multisets of three degree-m monomials with the prescribed
-   total exponent vector (3-subsets of distinct monomials for Λ^3).  Reading
-   dominant weights in decreasing lexicographic order and subtracting Kostka
-   contributions of larger constituents inverts the character into
-   irreducible multiplicities.
+   total exponent vector (3-subsets of distinct monomials for Λ^3).  The
+   whole table comes from the cycle index of S_3 applied to the character
+   f of S^m(C^n), (f³ ± 3·f·p_2[f] + 2·p_3[f]) / 6, computed on weights
+   packed into ints.  Multiplying the character by the Vandermonde a_δ and
+   reading the coefficient of x^(λ+δ) gives the multiplicity of the
+   weight-λ constituent, which inverts the Kostka matrix in closed form.
 
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
@@ -25,9 +27,10 @@ import os
 from collections import Counter
 from functools import lru_cache
 
-from .actions import raising_operator
+from .actions import permutation_sign, raising_operator
 from .polynomials import Monomial, Polynomial
-from .tableaux import Diagram, kostka, normalize_partition, pad
+from .tableaux import Diagram, normalize_partition, pad
+from .tableaux import kostka  # noqa: F401  perfbench/tracing.py wraps oracle.kostka
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -66,45 +69,114 @@ def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...],
     """Weight-space dimensions of S^3(S^m(C^n)) or Λ^3(S^m(C^n)).
 
     Keys are length-n exponent sums; values count multisets (sym) or
-    3-subsets of distinct monomials (alt).
+    3-subsets of distinct monomials (alt) of degree-m monomials.  With
+    f = Σ x^μ over those monomials the table is the cycle-index sum
+
+        (f³ ± 3·f·p_2[f] + 2·p_3[f]) / 6,    plus for sym, minus for alt,
+
+    where p_r[f] multiplies every exponent by r (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.8).
+
+    Every weight in the sum has coordinates summing to 3m, so the first one
+    is implied.  The others are packed into one int in mixed radix 3m + 1:
+    no coordinate exceeds 3m, so no digit carries, a product of monomials
+    adds keys and p_r multiplies them by r.  A character is kept as a map
+    from the packed middle coordinates to one int that holds the polynomial
+    in the last variable, each coefficient in a fixed-width field (Kronecker
+    substitution), so the products run as int multiplications.  The fields
+    are wide enough for the final coefficients, which are nonnegative, so the
+    fields of the signed sum are exactly those coefficients.
     """
-    monos = monomial_exponents(m, n)
     if variant == "sym":
-        triples = itertools.combinations_with_replacement(monos, 3)
+        sign = 1
     elif variant == "alt":
-        triples = itertools.combinations(monos, 3)
+        sign = -1
     else:
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
-    return dict(Counter(
-        tuple(a + b + c for a, b, c in zip(m1, m2, m3)) for m1, m2, m3 in triples
-    ))
+    monos = monomial_exponents(m, n)
+    d = len(monos)
+    # 6·C(d + 2, 3) bounds every coefficient of the sixfold table
+    width = (d * (d + 1) * (d + 2)).bit_length() // 8 + 1
+    radix = 3 * m + 1
+    last = radix if n > 1 else 1
+
+    def power_sum(r: int) -> Counter[int]:
+        """p_r[f], as packed middle coordinates -> field-packed last variable."""
+        out: Counter[int] = Counter()
+        for mono in monos:
+            key = 0
+            for e in mono[1:]:
+                key = key * radix + e
+            middle, e_last = divmod(r * key, last)
+            out[middle] += 1 << (8 * width * e_last)
+        return out
+
+    def times(a: Counter[int], b: Counter[int]) -> Counter[int]:
+        out: Counter[int] = Counter()
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                out[ka + kb] += va * vb
+        return out
+
+    f = power_sum(1)
+    cube = times(times(f, f), f)
+    mixed = times(f, power_sum(2))
+    p3 = power_sum(3)
+    table = {}
+    for middle, value in cube.items():
+        fields = (value + 3 * sign * mixed[middle] + 2 * p3[middle]).to_bytes(
+            width * last, "little")
+        for e_last in range(last):
+            six = int.from_bytes(fields[e_last * width:(e_last + 1) * width], "little")
+            if not six:
+                continue
+            if six % 6:
+                raise AssertionError(f"cycle-index coefficient {six} is not divisible by 6")
+            key = middle * last + e_last
+            tail = []
+            for _ in range(n - 1):
+                key, digit = divmod(key, radix)
+                tail.append(digit)
+            tail.reverse()
+            table[(3 * m - sum(tail), *tail) if n else ()] = six // 6
+    return table
 
 
 def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]:
-    """Irreducible multiplicities from the weight table, by Kostka inversion.
+    """Irreducible multiplicities read off the weight table by the Weyl alternant.
 
-    Dominant weights are processed in decreasing lexicographic order, which
-    refines dominance, so each step only subtracts already-known
-    multiplicities.  Diagrams come back with trailing zeros stripped and only
-    nonzero multiplicities are kept.
+    The character is χ = Σ_μ table[μ]·x^μ = Σ_λ m_λ·s_λ, and s_λ·a_δ = a_(λ+δ)
+    with δ = (n-1, ..., 0) (Macdonald I.3), so m_λ is the coefficient of
+    x^(λ+δ) in χ·a_δ:
+
+        m_λ = Σ_{w ∈ S_n} sgn(w) · table[λ + δ - w(δ)],
+
+    n! lookups per dominant weight.  This is the inverse Kostka matrix applied
+    in closed form.  Diagrams come back with trailing zeros stripped, in
+    decreasing lexicographic order, and only nonzero multiplicities are kept.
     """
     table = weight_table_plethysm(m, n, variant)
+    # λ + δ - w(δ) has coordinates λ_i + w(i) - i
+    shifts = [
+        (permutation_sign(w), tuple(w[i] - i for i in range(n)))
+        for w in itertools.permutations(range(n))
+    ]
     dominant = sorted(
         (w for w in table if all(w[i] >= w[i + 1] for i in range(n - 1))),
         reverse=True,
     )
-    mults: dict[tuple[int, ...], int] = {}
+    mults: dict[Diagram, int] = {}
     for weight in dominant:
-        value = table[weight]
-        for larger, mult in mults.items():
-            if mult:
-                value -= mult * kostka(larger, weight)
+        value = 0
+        for sgn, shift in shifts:
+            value += sgn * table.get(tuple(a + b for a, b in zip(weight, shift)), 0)
         if value < 0:
             raise AssertionError(
-                f"negative multiplicity {value} at {weight}: inversion is broken"
+                f"negative multiplicity {value} at {weight}: the read-off is broken"
             )
-        mults[weight] = value
-    return {normalize_partition(w): v for w, v in mults.items() if v}
+        if value:
+            mults[normalize_partition(weight)] = value
+    return mults
 
 
 def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):

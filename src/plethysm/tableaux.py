@@ -163,41 +163,54 @@ def enumerate_sst(shape, content) -> list[Tableau]:
 def _kostka(shape: Diagram, content: tuple[int, ...]) -> int:
     if sum(shape) != sum(content):
         return 0
-    if not content:
-        return 1 if not shape else 0
-    strip = content[-1]
-    total = 0
-    for smaller in _strip_removals(shape, strip):
-        total += _kostka(smaller, content[:-1])
-    return total
+    counts = Counter({shape: 1})
+    for size in reversed(content):
+        peeled: Counter[Diagram] = Counter()
+        for outer, count in counts.items():
+            for inner in _strip_removals(outer, size):
+                peeled[inner] += count
+        counts = peeled
+    return counts[()]
 
 
-def _strip_removals(shape: Diagram, size: int) -> list[Diagram]:
-    """Shapes obtained by removing a horizontal strip of the given size."""
-    rows = len(shape)
+@lru_cache(maxsize=None)
+def _strip_removals(shape: Diagram, size: int) -> tuple[Diagram, ...]:
+    """Shapes obtained by removing a horizontal strip of the given size.
+
+    Row i can lose at most its overhang shape[i] - shape[i+1], and the
+    choices are otherwise independent, so a strip is a way of spreading
+    `size` cells over the rows that overhang.
+    """
+    overhangs = [(i, hi - lo) for i, (hi, lo) in enumerate(zip(shape, shape[1:] + (0,)))
+                 if hi > lo]
+    room = sum(over for _, over in overhangs)
+    # (cells taken per overhanging row so far, cells still to take)
+    partial: list[tuple[tuple[tuple[int, int], ...], int]] = [((), size)]
+    for i, over in overhangs:
+        room -= over
+        partial = [
+            (taken + ((i, t),), left - t)
+            for taken, left in partial
+            for t in range(max(0, left - room), min(over, left) + 1)
+        ]
     out: list[Diagram] = []
-
-    def go(i: int, left: int, acc: tuple[int, ...]) -> None:
-        if i == rows:
-            if left == 0:
-                out.append(normalize_partition(acc))
-            return
-        hi = shape[i]
-        lo = shape[i + 1] if i + 1 < rows else 0
-        # acc stays a partition automatically: acc[i] >= shape[i+1] >= acc[i+1]
-        for keep in range(max(lo, hi - left), hi + 1):
-            go(i + 1, left - (hi - keep), acc + (keep,))
-
-    go(0, size, ())
-    return out
+    for taken, left in partial:
+        if left:
+            continue
+        rows = list(shape)
+        for i, t in taken:
+            rows[i] -= t
+        out.append(normalize_partition(rows))
+    return tuple(out)
 
 
 def kostka(shape, content) -> int:
     """The number of semistandard tableaux of the given shape and content.
 
-    Computed by peeling horizontal strips of the largest letter, which is
-    independent of the backtracking enumeration and fast enough to invert
-    character tables.
+    Computed by peeling horizontal strips, largest letter first, while
+    counting the ways to reach each intermediate shape; no recursion, so the
+    content may be arbitrarily long.  This is independent of the
+    backtracking enumeration.
     """
     return _kostka(normalize_partition(shape), tuple(content))
 

@@ -164,3 +164,9 @@ def test_instance_too_large_exits_3(capsys):
     assert captured.out == ""
     assert captured.err.startswith("plethysm: instance too large: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", ["1100", ",".join(["1"] * 1100)], ids=["row", "column"])
+def test_kostka_past_the_recursion_limit(capsys, shape):
+    code, out = run(capsys, "kostka", "--shape", shape, "--content", ",".join(["1"] * 1100))
+    assert code == 0 and out.strip() == "1"

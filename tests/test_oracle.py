@@ -1,8 +1,10 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
-from plethysm.hwv import decompose
+from plethysm.hwv import decompose, multiplicity_closed_form
 from plethysm.oracle import (
     InstanceTooLargeError,
     hwv_kernel_multiplicity,
@@ -13,7 +15,84 @@ from plethysm.oracle import (
     weight_table_plethysm,
     weyl_dimension,
 )
-from plethysm.tableaux import kostka
+from plethysm.tableaux import kostka, normalize_partition
+from plethysm.verify import _partitions
+
+
+def reference_weight_table(m, n, variant):
+    """Weight table by enumerating every multiset (or 3-subset) of monomials.
+
+    The triple enumeration that weight_table_plethysm used before the cycle
+    index, kept as the reference it is compared against.
+    """
+    monos = monomial_exponents(m, n)
+    if variant == "sym":
+        triples = itertools.combinations_with_replacement(monos, 3)
+    elif variant == "alt":
+        triples = itertools.combinations(monos, 3)
+    else:
+        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
+    return dict(Counter(
+        tuple(a + b + c for a, b, c in zip(m1, m2, m3)) for m1, m2, m3 in triples
+    ))
+
+
+def reference_multiplicities(m, n, variant):
+    """Multiplicities by subtracting Kostka contributions of larger constituents.
+
+    The loop that multiplicities_by_kostka used before the alternant read-off,
+    run on the reference weight table.
+    """
+    table = reference_weight_table(m, n, variant)
+    dominant = sorted(
+        (w for w in table if all(w[i] >= w[i + 1] for i in range(n - 1))),
+        reverse=True,
+    )
+    mults = {}
+    for weight in dominant:
+        value = table[weight]
+        for larger, mult in mults.items():
+            if mult:
+                value -= mult * kostka(larger, weight)
+        assert value >= 0
+        mults[weight] = value
+    return {normalize_partition(w): v for w, v in mults.items() if v}
+
+
+DIFFERENTIAL_CASES = [(m, n) for n in (0, 1, 2, 3) for m in range(0, 9)] + [
+    (m, 4) for m in range(0, 7)
+]
+
+
+@pytest.mark.parametrize("m,n", DIFFERENTIAL_CASES)
+def test_character_oracle_matches_the_replaced_paths(m, n):
+    for variant in ("sym", "alt"):
+        table = weight_table_plethysm(m, n, variant)
+        assert table == reference_weight_table(m, n, variant)
+        assert 0 not in table.values()
+        assert multiplicities_by_kostka(m, n, variant) == reference_multiplicities(
+            m, n, variant
+        )
+    if m == 0:
+        assert weight_table_plethysm(0, n, "alt") == {}
+
+
+def test_bad_variant_is_rejected():
+    for fn in (weight_table_plethysm, multiplicities_by_kostka):
+        with pytest.raises(ValueError):
+            fn(2, 3, "both")
+
+
+def test_character_oracle_matches_closed_form_and_words_past_m8():
+    for m in list(range(9, 21)) + [30]:
+        for variant in ("sym", "alt"):
+            mults = multiplicities_by_kostka(m, 3, variant)
+            shapes = _partitions(3 * m, 3)
+            assert set(mults) <= set(shapes)
+            for shape in shapes:
+                assert mults.get(shape, 0) == multiplicity_closed_form(shape, variant)
+            if m <= 20:
+                assert mults == decompose(3, m, variant).multiplicities()
 
 
 def test_monomial_exponents():
