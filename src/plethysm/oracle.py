@@ -26,6 +26,7 @@ import itertools
 import os
 from collections import Counter
 from functools import lru_cache
+from operator import add, sub
 
 from .actions import permutation_sign, raising_operator
 from .polynomials import Monomial, Polynomial
@@ -147,36 +148,34 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
 
     The character is χ = Σ_μ table[μ]·x^μ = Σ_λ m_λ·s_λ, and s_λ·a_δ = a_(λ+δ)
     with δ = (n-1, ..., 0) (Macdonald I.3), so m_λ is the coefficient of
-    x^(λ+δ) in χ·a_δ:
+    x^(λ+δ) in χ·a_δ.  As χ is symmetric, that coefficient is
 
-        m_λ = Σ_{w ∈ S_n} sgn(w) · table[λ + δ - w(δ)],
+        m_λ = Σ_{w ∈ S_n} sgn(w) · table[w(λ + δ) - δ],
 
-    n! lookups per dominant weight.  This is the inverse Kostka matrix applied
-    in closed form.  Diagrams come back with trailing zeros stripped, in
-    decreasing lexicographic order, and only nonzero multiplicities are kept.
+    the inverse Kostka matrix applied in closed form.  The sum is taken from
+    the table's side: each weight μ whose μ + δ has distinct coordinates adds
+    sgn(w)·table[μ] to m_λ, where w sorts μ + δ into λ + δ, and every other
+    weight adds nothing.  That is one pass over the table, with no sum over
+    S_n.  Diagrams come back with trailing zeros stripped, in decreasing
+    lexicographic order, and only nonzero multiplicities are kept.
     """
     table = weight_table_plethysm(m, n, variant)
-    # λ + δ - w(δ) has coordinates λ_i + w(i) - i
-    shifts = [
-        (permutation_sign(w), tuple(w[i] - i for i in range(n)))
-        for w in itertools.permutations(range(n))
-    ]
-    dominant = sorted(
-        (w for w in table if all(w[i] >= w[i + 1] for i in range(n - 1))),
-        reverse=True,
-    )
-    mults: dict[Diagram, int] = {}
-    for weight in dominant:
-        value = 0
-        for sgn, shift in shifts:
-            value += sgn * table.get(tuple(a + b for a, b in zip(weight, shift)), 0)
+    delta = tuple(range(n - 1, -1, -1))
+    mults: Counter[tuple[int, ...]] = Counter()
+    for weight, count in table.items():
+        lifted = tuple(map(add, weight, delta))
+        if len(set(lifted)) < n:
+            continue
+        order = sorted(range(n), key=lifted.__getitem__, reverse=True)
+        shape = tuple(map(sub, map(lifted.__getitem__, order), delta))
+        mults[shape] += permutation_sign(order) * count
+    for shape, value in mults.items():
         if value < 0:
             raise AssertionError(
-                f"negative multiplicity {value} at {weight}: the read-off is broken"
+                f"negative multiplicity {value} at {shape}: the read-off is broken"
             )
-        if value:
-            mults[normalize_partition(weight)] = value
-    return mults
+    return {normalize_partition(shape): mults[shape]
+            for shape in sorted(mults, reverse=True) if mults[shape]}
 
 
 def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):

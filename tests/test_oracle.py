@@ -61,6 +61,10 @@ def reference_multiplicities(m, n, variant):
 
 DIFFERENTIAL_CASES = [(m, n) for n in (0, 1, 2, 3) for m in range(0, 9)] + [
     (m, 4) for m in range(0, 7)
+] + [
+    # many variables, few boxes: a read-off that sums over S_n would need
+    # n! lookups per dominant weight here
+    (3, 6), (2, 9), (1, 12),
 ]
 
 
