@@ -26,7 +26,8 @@ assert multiplicities_by_kostka(m, n, "alt") == table
 
 # Kernel-level oracle on the interesting shapes.  This one works inside
 # the honest representation: orbit sums of monomial triples, adjacent
-# raising operators, fraction-free Gaussian elimination over Z.
+# raising operators, and a rank found modulo 2^61 - 1 that integer kernel
+# vectors prove exact over Q (Bareiss elimination over Z where they do not).
 for shape in [(7, 4, 1), (6, 3, 3), (12,)]:
     got = hwv_kernel_multiplicity(m, n, shape, "alt")
     print(f"kernel multiplicity of {shape}:", got)

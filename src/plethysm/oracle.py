@@ -13,8 +13,10 @@ Two cross-checks that share no code with the word enumeration:
 
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
-   weight-D subspace of the invariant (or sign) isotypic component, computed
-   exactly by fraction-free integer elimination.
+   weight-D subspace of the invariant (or sign) isotypic component.  Its rank
+   is found by sparse elimination modulo the prime 2^61 - 1 and proved exact
+   over Q by integer kernel vectors checked against the original matrix;
+   where that proof fails, fraction-free (Bareiss) elimination over Z decides.
 
 Both agree with the closed-form counts and with the explicit word bases; the
 point of this module is that they would not if any of those were wrong.
@@ -26,6 +28,7 @@ import itertools
 import os
 from collections import Counter
 from functools import lru_cache
+from math import isqrt, lcm
 from operator import add, sub
 
 from .actions import permutation_sign, raising_operator
@@ -179,13 +182,12 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
 
 
 def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
-    """All n-by-3 exponent matrices with column sums m and row sums `weight`.
+    """Yield every n-by-3 exponent matrix with column sums m and row sums `weight`.
 
     A matrix is a triple of column vectors.
     """
     monos = monomial_exponents(m, n)
     mono_set = set(monos)
-    out = []
     for col1 in monos:
         if any(col1[i] > weight[i] for i in range(n)):
             continue
@@ -195,8 +197,7 @@ def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
                 continue
             col3 = tuple(rest1[i] - col2[i] for i in range(n))
             if col3 in mono_set:
-                out.append((col1, col2, col3))
-    return out
+                yield col1, col2, col3
 
 
 def _matrix_monomial(cols: tuple[tuple[int, ...], ...]) -> Monomial:
@@ -209,41 +210,159 @@ def _matrix_monomial(cols: tuple[tuple[int, ...], ...]) -> Monomial:
 
 
 def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
-                           variant: str) -> list[Polynomial]:
+                           variant: str, *, max_dim: int) -> list[Polynomial]:
     """Orbit sums spanning the invariant or sign part of one weight space.
 
     Column permutations act on exponent matrices; invariants get one plain
     orbit sum per orbit, while the sign component only sees free orbits
     (any repeated column forces a stabilizer containing a transposition,
-    which kills the signed sum).
+    which kills the signed sum).  The orbits are counted as they are found,
+    and InstanceTooLargeError is raised once there are more than max_dim,
+    before any orbit sum is built.
     """
     seen: set[tuple] = set()
-    basis: list[Polynomial] = []
+    reps: list[tuple] = []
     for cols in _exponent_matrices(m, n, weight):
         rep = tuple(sorted(cols))
         if rep in seen:
             continue
         seen.add(rep)
+        if variant == "sym" or len(set(rep)) == 3:
+            reps.append(rep)
+            if len(reps) > max_dim:
+                raise InstanceTooLargeError(
+                    f"weight space dimension exceeds bound {max_dim}"
+                )
+    basis: list[Polynomial] = []
+    for rep in reps:
         if variant == "sym":
-            terms = {
-                _matrix_monomial(perm): 1
-                for perm in set(itertools.permutations(rep))
-            }
-            basis.append(Polynomial(terms))
+            terms = {_matrix_monomial(perm): 1 for perm in set(itertools.permutations(rep))}
         else:
-            if len(set(rep)) < 3:
-                continue
-            terms = {}
-            for perm, sign in (
-                ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-            ):
-                terms[_matrix_monomial(tuple(rep[p] for p in perm))] = sign
-            basis.append(Polynomial(terms))
+            terms = {
+                _matrix_monomial(tuple(rep[p] for p in perm)): sign
+                for perm, sign in (
+                    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
+                )
+            }
+        basis.append(Polynomial(terms))
     return basis
 
 
+_PRIME = (1 << 61) - 1
+# |a|, b <= _LIFT_BOUND gives 2·|a|·b < _PRIME, so a/b is the only such
+# fraction congruent to a residue (Wang, Guy & Davenport, SIGSAM Bull. 1982)
+_LIFT_BOUND = isqrt(_PRIME // 2)
+
+
 def rank_of_integer_matrix(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, proved exact.
+
+    The rows are eliminated modulo the prime P = 2^61 - 1, which gives the
+    rank r_P and an echelon form.  Two bounds make r_P the rank over Q:
+
+    - r_P <= rank_Q.  Some r_P-by-r_P minor is nonzero mod P; that minor is
+      an integer, so it is nonzero over Z as well.
+    - rank_Q <= r_P.  For each of the ncols - r_P free columns, one nullspace
+      vector mod P is back-substituted, with 1 on its own free column and 0
+      on the others.  Each entry is lifted to a fraction a/b with
+      |a|, b <= isqrt(P // 2) by rational reconstruction, the denominators
+      are cleared, and the integer vector is multiplied by the original rows
+      over Z.  A vector that gives zero lies in the kernel over Q.  The
+      vectors are independent, because each is nonzero on its own free
+      column and zero on the other free columns, so the kernel over Q has
+      dimension at least ncols - r_P.
+
+    When r_P is ncols the second bound is trivial.  When a lift or a product
+    fails, the rank comes from Bareiss elimination over Z instead, so no
+    number is returned that was not proved.
+    """
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    # repeated rows change neither rank nor kernel; sparse rows first keep
+    # the pivot rows sparse
+    sparse = sorted(({j: a for j, a in enumerate(row) if a} for row in set(map(tuple, rows))),
+                    key=len)
+    pivots = _echelon_mod_p(sparse, ncols)
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vector = _kernel_vector(pivots, free, ncols)
+        if vector is None or any(
+                sum(a * vector[j] for j, a in row.items()) for row in sparse):
+            return _rank_bareiss(rows)
+    return len(pivots)
+
+
+def _echelon_mod_p(sparse: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
+    """Pivot rows mod P, keyed by pivot column.
+
+    Each row is reduced at its leading column against the pivot found there
+    until it vanishes or leads with a new pivot column.  A pivot row is
+    scaled to 1 on its pivot column and has no entry to the left of it.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sparse:
+        r = {j: a % _PRIME for j, a in row.items() if a % _PRIME}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inverse = pow(r[col], -1, _PRIME)
+                pivots[col] = {j: a * inverse % _PRIME for j, a in r.items()}
+                break
+            factor = r[col]
+            for j, a in pivot.items():
+                a = (r.get(j, 0) - factor * a) % _PRIME
+                if a:
+                    r[j] = a
+                else:
+                    del r[j]
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
+def _kernel_vector(pivots: dict[int, dict[int, int]], free: int,
+                   ncols: int) -> list[int] | None:
+    """The integer lift of the nullspace vector mod P that is 1 at `free`.
+
+    Entries at the other free columns are 0; each pivot entry is solved from
+    its pivot row, right to left.  Returns None when an entry has no
+    fraction within the reconstruction bound.
+    """
+    residues = [0] * ncols
+    residues[free] = 1
+    for col in sorted(pivots, reverse=True):
+        residues[col] = -sum(a * residues[j] for j, a in pivots[col].items()) % _PRIME
+    fractions = []
+    for x in residues:
+        lifted = _rational_lift(x)
+        if lifted is None:
+            return None
+        fractions.append(lifted)
+    common = lcm(*(b for _, b in fractions))
+    return [a * (common // b) for a, b in fractions]
+
+
+def _rational_lift(x: int) -> tuple[int, int] | None:
+    """(a, b) with a ≡ b·x mod P, |a| <= _LIFT_BOUND and 0 < b <= _LIFT_BOUND.
+
+    The extended Euclidean algorithm on (P, x), stopped at the first
+    remainder within the bound; None when the cofactor then exceeds it.
+    """
+    r0, r1, t0, t1 = _PRIME, x, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if t1 <= _LIFT_BOUND else None
+
+
+def _rank_bareiss(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
@@ -278,9 +397,12 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
 
     Builds the weight-`shape` slice of the isotypic component, applies every
     adjacent raising operator, and returns the dimension of the joint kernel.
-    Raises InstanceTooLargeError when the slice dimension exceeds max_dim
-    (default from PLETHYSM_MAX_DIM, else 2000).
+    Raises ValueError unless `variant` is 'sym' or 'alt', and
+    InstanceTooLargeError when the slice dimension exceeds max_dim (default
+    from PLETHYSM_MAX_DIM, else 2000), before the slice is built.
     """
+    if variant not in ("sym", "alt"):
+        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
     shape = normalize_partition(shape)
     if len(shape) > n:
         return 0
@@ -289,13 +411,9 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
     if max_dim is None:
         max_dim = default_max_dim()
     weight = pad(shape, n)
-    basis = _isotypic_weight_basis(m, n, weight, variant)
+    basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
     if not basis:
         return 0
-    if len(basis) > max_dim:
-        raise InstanceTooLargeError(
-            f"weight space dimension {len(basis)} exceeds bound {max_dim}"
-        )
     rows: list[list[int]] = []
     for p in range(1, n):
         images = [raising_operator(v, p, p + 1) for v in basis]

@@ -3,10 +3,14 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plethysm import oracle
 from plethysm.hwv import decompose, multiplicity_closed_form
 from plethysm.oracle import (
     InstanceTooLargeError,
+    _rank_bareiss,
     hwv_kernel_multiplicity,
     monomial_exponents,
     multiplicities_by_kostka,
@@ -85,6 +89,15 @@ def test_bad_variant_is_rejected():
     for fn in (weight_table_plethysm, multiplicities_by_kostka):
         with pytest.raises(ValueError):
             fn(2, 3, "both")
+
+
+def test_kernel_oracle_rejects_a_bad_variant(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("weight space enumerated for a bad variant")
+
+    monkeypatch.setattr(oracle, "_exponent_matrices", no_work)
+    with pytest.raises(ValueError):
+        hwv_kernel_multiplicity(2, 3, (4, 2), "bogus")
 
 
 def test_character_oracle_matches_closed_form_and_words_past_m8():
@@ -167,6 +180,26 @@ def test_kernel_size_bound():
         hwv_kernel_multiplicity(3, 3, (4, 4, 1), "sym", max_dim=1)
 
 
+def test_kernel_size_guard_fires_before_any_orbit_sum(monkeypatch):
+    def no_orbit_sums(cols):
+        raise AssertionError("orbit sum built for an over-bound instance")
+
+    monkeypatch.setattr(oracle, "_matrix_monomial", no_orbit_sums)
+    for variant in ("sym", "alt"):
+        with pytest.raises(InstanceTooLargeError):
+            hwv_kernel_multiplicity(3, 3, (4, 4, 1), variant, max_dim=1)
+    with pytest.raises(InstanceTooLargeError):
+        hwv_kernel_multiplicity(8, 8, (8, 8, 8), "sym", max_dim=5)
+    monkeypatch.undo()
+    # all orbits count for sym, free orbits only for alt
+    for variant in ("sym", "alt"):
+        dim = len(oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=10**6))
+        assert dim >= 2
+        assert len(oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=dim)) == dim
+        with pytest.raises(InstanceTooLargeError):
+            oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=dim - 1)
+
+
 def test_kernel_env_override(monkeypatch):
     monkeypatch.setenv("PLETHYSM_MAX_DIM", "1")
     with pytest.raises(InstanceTooLargeError):
@@ -184,6 +217,91 @@ def test_rank_of_integer_matrix():
     # needs exact arithmetic: a float elimination would drift here
     big = 10 ** 30
     assert rank_of_integer_matrix([[big, 1], [big, 1]]) == 1
+
+
+PRIME = 2**61 - 1
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-2, 2).map(lambda k: k * PRIME),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def dense_matrices(ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=24)
+
+
+def low_rank_matrices(ncols):
+    """U·V with an inner dimension below ncols, so the kernel is nontrivial."""
+    return st.integers(1, ncols - 1).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), min_size=1, max_size=24),
+        st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=k, max_size=k),
+    )).map(lambda uv: [[sum(a * b for a, b in zip(u, col)) for col in zip(*uv[1])]
+                       for u in uv[0]])
+
+
+integer_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: dense_matrices(ncols) | (low_rank_matrices(ncols) if ncols > 1
+                                           else dense_matrices(ncols))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices)
+def test_rank_matches_bareiss(rows):
+    assert rank_of_integer_matrix(rows) == _rank_bareiss(rows)
+
+
+def test_rank_falls_back_to_bareiss_when_the_certificate_fails(monkeypatch):
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return _rank_bareiss(rows)
+
+    monkeypatch.setattr(oracle, "_rank_bareiss", spy)
+    # rank 1 mod P: the lifted kernel vector (1, 0) is not a kernel vector over Z
+    assert rank_of_integer_matrix([[PRIME, 0], [0, 1]]) == 2
+    assert len(calls) == 1
+    # the only kernel vector, (2^40, 1), lies past the reconstruction bound
+    assert rank_of_integer_matrix([[1, -(2**40)]]) == 1
+    assert len(calls) == 2
+    # a certified rank never reaches the fallback
+    assert rank_of_integer_matrix([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank_of_integer_matrix([[3, 0, 6], [0, 7, 14]]) == 2
+    assert len(calls) == 2
+
+
+def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
+    built = []
+    rank = oracle.rank_of_integer_matrix
+
+    def record(rows):
+        built.append(rows)
+        return rank(rows)
+
+    def no_fallback(rows):
+        raise AssertionError("an oracle matrix needed the Bareiss fallback")
+
+    monkeypatch.setattr(oracle, "rank_of_integer_matrix", record)
+    monkeypatch.setattr(oracle, "_rank_bareiss", no_fallback)
+    for m in range(0, 5):
+        for variant in ("sym", "alt"):
+            for shape in _partitions(3 * m, 3):
+                hwv_kernel_multiplicity(m, 3, shape, variant)
+    monkeypatch.undo()
+    assert len(built) > 50
+    for rows in built:
+        assert rank(rows) == _rank_bareiss(rows)
+
+
+def test_kernel_oracle_matches_closed_form_m4_to_m6():
+    for m in range(4, 7):
+        for variant in ("sym", "alt"):
+            for shape in _partitions(3 * m, 3):
+                assert hwv_kernel_multiplicity(m, 3, shape, variant) == (
+                    multiplicity_closed_form(shape, variant))
 
 
 def test_weyl_dimension():
