@@ -11,7 +11,8 @@ Exit codes:
 
 * 0: success.
 * 1: verification failure (some check of ``verify`` failed).
-* 2: usage error, including a malformed PLETHYSM_MAX_DIM.
+* 2: usage error, including a malformed PLETHYSM_MAX_DIM and ``--expand``
+  past the degree bound (k*m at most ``polynomials.MAX_DEGREE``).
 * 3: instance too large (a kernel computation exceeds the size bound).
 
 Codes 2 and 3 come with a one-line message on stderr.
@@ -23,7 +24,7 @@ import argparse
 import json
 import sys
 
-from . import hwv, oracle, tableaux, verify
+from . import hwv, oracle, polynomials, tableaux, verify
 
 
 def _parse_ints(text: str, label: str) -> tuple[int, ...]:
@@ -114,6 +115,10 @@ def _validate_common(parser: argparse.ArgumentParser, args) -> None:
         parser.error("the alternating component needs --m >= 1")
     if args.n < args.k:
         parser.error(f"--n must be at least k = {args.k}")
+    if args.expand and args.k * args.m > polynomials.MAX_DEGREE:
+        # ValueError rather than parser.error: one line on stderr, before any work
+        raise ValueError(f"--expand needs k*m <= {polynomials.MAX_DEGREE}, "
+                         f"got {args.k * args.m}")
 
 
 def cmd_decompose(parser: argparse.ArgumentParser, args) -> int:

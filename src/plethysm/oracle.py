@@ -182,21 +182,23 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
 
 
 def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
-    """Yield every n-by-3 exponent matrix with column sums m and row sums `weight`.
+    """Yield each n-by-3 exponent matrix with column sums m and row sums `weight`
+    whose columns decrease, col1 >= col2 >= col3: one per orbit of the column
+    permutations.
 
     A matrix is a triple of column vectors.
     """
-    monos = monomial_exponents(m, n)
+    monos = monomial_exponents(m, n)  # decreasing, so monos[i:] are <= monos[i]
     mono_set = set(monos)
-    for col1 in monos:
-        if any(col1[i] > weight[i] for i in range(n)):
+    for i, col1 in enumerate(monos):
+        if any(col1[r] > weight[r] for r in range(n)):
             continue
-        rest1 = tuple(weight[i] - col1[i] for i in range(n))
-        for col2 in monos:
-            if any(col2[i] > rest1[i] for i in range(n)):
+        rest1 = tuple(weight[r] - col1[r] for r in range(n))
+        for col2 in monos[i:]:
+            if any(col2[r] > rest1[r] for r in range(n)):
                 continue
-            col3 = tuple(rest1[i] - col2[i] for i in range(n))
-            if col3 in mono_set:
+            col3 = tuple(rest1[r] - col2[r] for r in range(n))
+            if col3 <= col2 and col3 in mono_set:
                 yield col1, col2, col3
 
 
@@ -220,13 +222,8 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     and InstanceTooLargeError is raised once there are more than max_dim,
     before any orbit sum is built.
     """
-    seen: set[tuple] = set()
     reps: list[tuple] = []
-    for cols in _exponent_matrices(m, n, weight):
-        rep = tuple(sorted(cols))
-        if rep in seen:
-            continue
-        seen.add(rep)
+    for rep in _exponent_matrices(m, n, weight):
         if variant == "sym" or len(set(rep)) == 3:
             reps.append(rep)
             if len(reps) > max_dim:

@@ -11,19 +11,27 @@ exponent on the earliest variable where they differ.  This order is
 multiplicative, so the leading monomial of a product is the product of the
 leading monomials.
 
-A monomial is a sorted tuple of ((col, row), exponent) pairs; keying by
-(col, row) makes the variable chain the natural key order.  A polynomial maps
-monomials to nonzero Python integers, so all arithmetic is exact at arbitrary
-precision.  Both types are immutable; every operation returns a fresh value.
+A monomial is stored as one Python int, its key: a packed exponent vector
+(Monagan & Pearce, CASC 2007).  Each x[i][j] with i <= MAX_ROW, j <= MAX_COL
+owns a FIELD_BITS-wide field, in chain order with x[1][1] highest, and the
+total degree sits in the field above them all.  So integer order is graded
+lex order (the degree field decides first, then the highest differing field,
+which is the earliest variable whose exponents differ), a product of
+monomials is the sum of their keys, and a leading monomial is the largest
+key.  The degree is at most MAX_DEGREE, the largest value a field holds, and
+no exponent exceeds the degree, so no field carries into the next.  A
+product or power past the bound, or a variable outside the layout, raises
+ValueError before it is computed; nothing wraps.  A polynomial maps keys to
+nonzero Python integers (exact at arbitrary precision); a `Monomial` wraps a
+key where one crosses the API.  Both types are immutable.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
-
-_Key = TypeVar("_Key", bound=Hashable)
+from functools import reduce, total_ordering
+from operator import or_
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
 class ZeroPolynomialError(ValueError):
@@ -39,149 +47,137 @@ class NotIsobaricError(ValueError):
 
 
 VarId = tuple[int, int]  # (row, col), both 1-based
-Pairs = tuple[tuple[tuple[int, int], int], ...]  # sorted ((col, row), exponent)
+
+# The layout holds every variable that the package, its tests and its demos
+# build: the k = 3 model needs rows and columns 1..3, the n = 4 and k = 4
+# checks reach the fourth.
+MAX_ROW = 4
+MAX_COL = 4
+FIELD_BITS = 8
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+_VARS: tuple[VarId, ...] = tuple(
+    (row, col) for col in range(1, MAX_COL + 1) for row in range(1, MAX_ROW + 1)
+)
+_NAMES = tuple(f"x[{row}][{col}]" for row, col in _VARS)
+_SHIFT = {var: FIELD_BITS * (len(_VARS) - 1 - i) for i, var in enumerate(_VARS)}
+_DEGREE_SHIFT = FIELD_BITS * len(_VARS)
+_DEGREE_ONE = 1 << _DEGREE_SHIFT
+_KEY_BYTES = len(_VARS) + 1  # FIELD_BITS is 8: one byte per field
 
 
-def _sum_terms(terms: Iterable[tuple[_Key, int]]) -> dict[_Key, int]:
+def _sum_terms(terms: Iterable[tuple[Hashable, int]]) -> dict:
     """Add up the values of repeated keys, then drop the keys that sum to zero.
 
     This is the one place where like terms are collected: coefficients keyed
     by monomial, and exponents keyed by variable.
     """
-    out: dict[_Key, int] = {}
+    out: dict = {}
     for key, value in terms:
         out[key] = out.get(key, 0) + value
     return {key: value for key, value in out.items() if value}
 
 
-def _bump(pairs: Pairs, key: tuple[int, int], step: int) -> Pairs:
-    """The pairs with the exponent on (col, row) `key` changed by `step`.
-
-    A variable whose exponent reaches zero loses its pair, and an absent one
-    gains a pair at its place in the variable chain.
-    """
-    at = bisect_left(pairs, (key,))
-    if at < len(pairs) and pairs[at][0] == key:
-        exp = pairs[at][1] + step
-        return pairs[:at] + (((key, exp),) if exp else ()) + pairs[at + 1:]
-    return pairs[:at] + ((key, step),) + pairs[at:]
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"total degree {degree} exceeds the bound {MAX_DEGREE}")
 
 
+def _shift(row: int, col: int) -> int:
+    """Bit offset of the field of x[row][col]; ValueError outside the layout."""
+    if (row, col) in _SHIFT:
+        return _SHIFT[(row, col)]
+    raise ValueError(f"x[{row}][{col}] is outside the {MAX_ROW}-by-{MAX_COL} layout")
+
+
+def _encode(exponents: Mapping[VarId, int]) -> int:
+    key = degree = 0
+    for (row, col), exp in exponents.items():
+        if row < 1 or col < 1:
+            raise ValueError(f"variable indices are 1-based, got x[{row}][{col}]")
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} on x[{row}][{col}]")
+        if exp:
+            key += exp << _shift(row, col)
+            degree += exp
+    _check_degree(degree)
+    return key + (degree << _DEGREE_SHIFT)
+
+
+def _fields(key: int) -> bytes:
+    """The exponents of the key, one byte per variable in chain order."""
+    return key.to_bytes(_KEY_BYTES, "big")[1:]
+
+
+def _decode(key: int) -> list[tuple[VarId, int]]:
+    """The (variable, exponent) pairs of the key with exponent > 0, in chain order."""
+    return [(var, e) for var, e in zip(_VARS, _fields(key)) if e]
+
+
+def _key_str(key: int) -> str:
+    if not key:
+        return "1"
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(_NAMES, _fields(key)) if e)
+
+
+@total_ordering
 class Monomial:
     """An immutable product of variable powers; ``Monomial()`` is the unit."""
 
-    __slots__ = ("_pairs", "_degree", "_hash")
+    __slots__ = ("_key",)
 
     def __init__(self, exponents: Mapping[VarId, int] | None = None):
-        pairs = []
-        if exponents:
-            for (row, col), exp in exponents.items():
-                if row < 1 or col < 1:
-                    raise ValueError(f"variable indices are 1-based, got x[{row}][{col}]")
-                if exp < 0:
-                    raise ValueError(f"negative exponent {exp} on x[{row}][{col}]")
-                if exp:
-                    pairs.append(((col, row), exp))
-        pairs.sort()
-        self._init_from_pairs(tuple(pairs))
-
-    def _init_from_pairs(self, pairs: Pairs) -> None:
-        self._pairs = pairs
-        self._degree = sum(e for _, e in pairs)
-        self._hash = hash(pairs)
+        self._key = _encode(exponents) if exponents else 0
 
     @classmethod
-    def _from_pairs(cls, pairs: Pairs) -> "Monomial":
+    def _of(cls, key: int) -> "Monomial":
         m = cls.__new__(cls)
-        m._init_from_pairs(pairs)
+        m._key = key
         return m
 
     @property
     def degree(self) -> int:
-        return self._degree
+        return self._key >> _DEGREE_SHIFT
 
     @property
     def is_unit(self) -> bool:
-        return not self._pairs
+        return not self._key
 
     def exponent(self, row: int, col: int) -> int:
-        for (c, r), e in self._pairs:
-            if (c, r) == (col, row):
-                return e
-        return 0
+        shift = _SHIFT.get((row, col))
+        return 0 if shift is None else self._key >> shift & MAX_DEGREE
 
     def exponents(self) -> dict[VarId, int]:
         """Exponent map keyed by (row, col), in decreasing variable order."""
-        return {(r, c): e for (c, r), e in self._pairs}
+        return dict(_decode(self._key))
 
     def variables(self) -> list[VarId]:
-        return [(r, c) for (c, r), _ in self._pairs]
-
-    def sort_key(self) -> tuple:
-        # Graded lex: degree first, then exponents read along the variable
-        # chain.  Negating (col, row) makes tuple comparison scan variables
-        # in decreasing order, and missing variables (exponent 0) sort below
-        # present ones exactly when they should.
-        return (self._degree, tuple((-c, -r, e) for (c, r), e in self._pairs))
+        return [var for var, _ in _decode(self._key)]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        a, b = self._pairs, other._pairs
-        if not a:
-            return other
-        if not b:
-            return self
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ka, kb = a[i][0], b[j][0]
-            if ka == kb:
-                out.append((ka, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-            elif ka < kb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._from_pairs(tuple(out))
+        _check_degree(self.degree + other.degree)
+        return Monomial._of(self._key + other._key)
 
     def __pow__(self, exp: int) -> "Monomial":
         if exp < 0:
             raise ValueError("negative monomial power")
-        if exp == 0:
-            return Monomial()
-        return Monomial._from_pairs(tuple((k, e * exp) for k, e in self._pairs))
+        _check_degree(self.degree * exp)
+        return Monomial._of(self._key * exp)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
+        return isinstance(other, Monomial) and self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Monomial") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return self.sort_key() >= other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
-        if not self._pairs:
-            return "1"
-        factors = []
-        for (c, r), e in self._pairs:
-            factors.append(f"x[{r}][{c}]" if e == 1 else f"x[{r}][{c}]^{e}")
-        return "*".join(factors)
+        return _key_str(self._key)
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents()!r})"
@@ -189,8 +185,7 @@ class Monomial:
 
 def mono_cmp(a: Monomial, b: Monomial) -> int:
     """Three-way comparison in graded lex order: -1, 0, or 1."""
-    ka, kb = a.sort_key(), b.sort_key()
-    return (ka > kb) - (ka < kb)
+    return (a._key > b._key) - (a._key < b._key)
 
 
 class Polynomial:
@@ -199,10 +194,12 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: dict[Monomial, int] = _sum_terms(terms.items()) if terms else {}
+        self._terms: dict[int, int] = (
+            _sum_terms((mono._key, c) for mono, c in terms.items()) if terms else {}
+        )
 
     @classmethod
-    def _make(cls, terms: dict[Monomial, int]) -> "Polynomial":
+    def _make(cls, terms: dict[int, int]) -> "Polynomial":
         p = cls.__new__(cls)
         p._terms = terms
         return p
@@ -217,7 +214,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls._make({Monomial(): c} if c else {})
+        return cls._make({0: c} if c else {})
 
     @property
     def is_zero(self) -> bool:
@@ -227,23 +224,23 @@ class Polynomial:
         return len(self._terms)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
+        return ((Monomial._of(key), c) for key, c in self._terms.items())
 
     def terms_sorted(self) -> list[tuple[Monomial, int]]:
         """Terms in decreasing monomial order."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
+        return [(Monomial._of(key), self._terms[key])
+                for key in sorted(self._terms, reverse=True)]
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        return self._terms.get(mono._key, 0)
 
     def monomials(self) -> set[Monomial]:
-        return set(self._terms)
+        return {Monomial._of(key) for key in self._terms}
 
     def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for mono in self._terms:
-            out.update(mono.variables())
-        return out
+        # a field of the union of all keys is nonzero iff some term uses it
+        union = reduce(or_, self._terms, 0)
+        return {var for var, _ in _decode(union)}
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
@@ -260,9 +257,7 @@ class Polynomial:
         return Polynomial._make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (Polynomial, int)):
             return NotImplemented
         return self + (-other)
 
@@ -276,9 +271,11 @@ class Polynomial:
             return Polynomial._make({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if self._terms and other._terms:
+            _check_degree(self.degree() + other.degree())
         right = other._terms.items()
         return Polynomial._make(_sum_terms(
-            (m1 * m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right
+            (m1 + m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right
         ))
 
     __rmul__ = __mul__
@@ -286,6 +283,8 @@ class Polynomial:
     def __pow__(self, exp: int) -> "Polynomial":
         if exp < 0:
             raise ValueError("negative polynomial power")
+        if self._terms:
+            _check_degree(self.degree() * exp)
         result = Polynomial.one()
         base = self
         while exp:
@@ -312,40 +311,34 @@ class Polynomial:
         """
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no leading monomial")
-        mono = max(self._terms, key=Monomial.sort_key)
-        return mono, self._terms[mono]
+        key = max(self._terms)
+        return Monomial._of(key), self._terms[key]
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has no degree."""
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(m.degree for m in self._terms)
+        return max(self._terms) >> _DEGREE_SHIFT
 
-    def _graded_vector(self, index: int, width: int | None) -> tuple[int, ...]:
-        # index 0 sums exponents per column, index 1 per row
+    def _graded_vector(self, by_column: bool, width: int | None) -> tuple[int, ...]:
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no grading vector")
+        # the fields of a column are adjacent; those of a row are MAX_ROW apart
+        starts, span, stride = ((range(0, len(_VARS), MAX_ROW), MAX_ROW, 1) if by_column
+                                else (range(MAX_ROW), len(_VARS), MAX_ROW))
+        vectors = {tuple(sum(data[i:i + span:stride]) for i in starts)
+                   for data in map(_fields, self._terms)}
+        if len(vectors) > 1:
+            if by_column:
+                raise NotMultihomogeneousError("terms disagree on column degree")
+            raise NotIsobaricError("terms disagree on row weight")
+        (vec,) = vectors
+        used = max((i + 1 for i, e in enumerate(vec) if e), default=0)
         if width is None:
-            width = 0
-            for mono in self._terms:
-                for (c, r), _ in mono._pairs:
-                    width = max(width, (c, r)[index])
-        vec: tuple[int, ...] | None = None
-        for mono in self._terms:
-            cur = [0] * width
-            for (c, r), e in mono._pairs:
-                pos = (c, r)[index] - 1
-                if pos >= width:
-                    raise ValueError(f"variable index {pos + 1} exceeds width {width}")
-                cur[pos] += e
-            if vec is None:
-                vec = tuple(cur)
-            elif vec != tuple(cur):
-                if index == 0:
-                    raise NotMultihomogeneousError("terms disagree on column degree")
-                raise NotIsobaricError("terms disagree on row weight")
-        assert vec is not None
-        return vec
+            width = used
+        elif used > width:
+            raise ValueError(f"variable index {used} exceeds width {width}")
+        return vec[:width] + (0,) * (width - len(vec))
 
     def column_degree(self, k: int | None = None) -> tuple[int, ...]:
         """Per-column degree vector, if all terms agree.
@@ -353,11 +346,11 @@ class Polynomial:
         With k given the vector is padded to length k; otherwise it runs up
         to the largest column index occurring in the polynomial.
         """
-        return self._graded_vector(0, k)
+        return self._graded_vector(True, k)
 
     def row_weight(self, n: int | None = None) -> tuple[int, ...]:
         """Per-row degree vector (the torus weight), if all terms agree."""
-        return self._graded_vector(1, n)
+        return self._graded_vector(False, n)
 
     def substitute(self, sub: Mapping[VarId, "Polynomial | int"]) -> "Polynomial":
         """Apply the ring homomorphism sending each variable to its image.
@@ -371,46 +364,54 @@ class Polynomial:
             img = sub[var]
             images[var] = Polynomial.constant(img) if isinstance(img, int) else img
 
-        def images_of_terms() -> Iterator[tuple[Monomial, int]]:
-            for mono, coeff in self._terms.items():
+        def images_of_terms() -> Iterator[tuple[int, int]]:
+            for key, coeff in self._terms.items():
                 term = Polynomial.constant(coeff)
-                for (col, row), e in mono._pairs:
-                    term = term * images[(row, col)] ** e
+                for var, e in _decode(key):
+                    term = term * images[var] ** e
                 yield from term._terms.items()
 
         return Polynomial._make(_sum_terms(images_of_terms()))
 
     def rename_variables(self, rename: Callable[[int, int], VarId]) -> "Polynomial":
         """Apply the monomial map x[i][j] -> x[rename(i, j)]."""
-        def image(mono: Monomial) -> Monomial:
-            return Monomial(_sum_terms((rename(r, c), e) for (c, r), e in mono._pairs))
+        def image(key: int) -> int:
+            return _encode(_sum_terms((rename(*var), e) for var, e in _decode(key)))
 
         return Polynomial._make(
-            _sum_terms((image(mono), coeff) for mono, coeff in self._terms.items())
+            _sum_terms((image(key), coeff) for key, coeff in self._terms.items())
         )
 
     def partial_derivative(self, row: int, col: int) -> "Polynomial":
         """Formal partial derivative with respect to x[row][col]."""
-        key = (col, row)
-        return Polynomial._make(_sum_terms(
-            (Monomial._from_pairs(_bump(mono._pairs, key, -1)), coeff * e)
-            for mono, coeff in self._terms.items()
-            for k, e in mono._pairs
-            if k == key
-        ))
+        shift = _SHIFT.get((row, col))
+        if shift is None:  # no term can hold a variable outside the layout
+            return Polynomial.zero()
+        step = _DEGREE_ONE + (1 << shift)
+        # distinct keys stay distinct and no coefficient becomes zero
+        return Polynomial._make({
+            key - step: coeff * e
+            for key, coeff in self._terms.items()
+            if (e := key >> shift & MAX_DEGREE)
+        })
 
     def polarize(self, p: int, q: int) -> "Polynomial":
         """The polarization operator sum_j x[p][j] * d/dx[q][j].
 
         Each factor x[q][j] of each monomial is moved in turn to x[p][j],
-        weighted by its exponent.
+        weighted by its exponent; the degree stays, so no field overflows.
         """
-        def moved() -> Iterator[tuple[Monomial, int]]:
-            for mono, coeff in self._terms.items():
-                for (col, row), e in mono._pairs:
-                    if row == q:
-                        pairs = _bump(_bump(mono._pairs, (col, q), -1), (col, p), 1)
-                        yield Monomial._from_pairs(pairs), coeff * e
+        if not 1 <= q <= MAX_ROW:  # no term can hold row q
+            return Polynomial.zero()
+        moves = [(_SHIFT[(q, col)], (1 << _shift(p, col)) - (1 << _SHIFT[(q, col)]))
+                 for col in range(1, MAX_COL + 1)]
+
+        def moved() -> Iterator[tuple[int, int]]:
+            for key, coeff in self._terms.items():
+                for shift, step in moves:
+                    e = key >> shift & MAX_DEGREE
+                    if e:
+                        yield key + step, coeff * e
 
         return Polynomial._make(_sum_terms(moved()))
 
@@ -418,18 +419,13 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.terms_sorted():
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             mag = abs(coeff)
-            if mono.is_unit:
-                body = str(mag)
-            elif mag == 1:
-                body = str(mono)
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            body = (str(mag) if not key else _key_str(key) if mag == 1
+                    else f"{mag}*{_key_str(key)}")
+            sign = ("+ " if coeff > 0 else "- ") if parts else ("" if coeff > 0 else "-")
+            parts.append(sign + body)
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -437,16 +433,17 @@ class Polynomial:
 
     def to_json_obj(self) -> list[dict]:
         """Stable encoding: terms in decreasing order, coefficients as strings."""
-        out = []
-        for mono, coeff in self.terms_sorted():
-            exps = [[r, c, e] for (c, r), e in mono._pairs]
-            out.append({"coeff": str(coeff), "exps": exps})
-        return out
+        terms = self._terms
+        return [
+            {"coeff": str(terms[key]),
+             "exps": [[r, c, e] for (r, c), e in zip(_VARS, _fields(key)) if e]}
+            for key in sorted(terms, reverse=True)
+        ]
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "Polynomial":
         return cls._make(_sum_terms(
-            (Monomial({(r, c): e for r, c, e in term["exps"]}), int(term["coeff"]))
+            (_encode({(r, c): e for r, c, e in term["exps"]}), int(term["coeff"]))
             for term in obj
         ))
 

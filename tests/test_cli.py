@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from plethysm import hwv
 from plethysm.cli import main
 from plethysm.hwv import decompose
+from plethysm.polynomials import MAX_DEGREE
 from plethysm.verify import load_golden_text
 
 
@@ -170,3 +173,68 @@ def test_instance_too_large_exits_3(capsys):
 def test_kostka_past_the_recursion_limit(capsys, shape):
     code, out = run(capsys, "kostka", "--shape", shape, "--content", ",".join(["1"] * 1100))
     assert code == 0 and out.strip() == "1"
+
+
+# sha256 of `decompose --expand` output, recorded from the tuple-of-pairs
+# monomial layout; no golden table holds polynomials, so these pin the term
+# order and the printing of expanded words
+EXPANDED_SHA256 = {
+    (3, 1, "sym", "json"): "6214c476ca1e56dc97f05044ed47bdb56dff4d19c43ef144083f2de0c37b34c1",
+    (3, 1, "sym", "text"): "23f80184069ccd746fefb45829811a874d5dc32ff1740988dbf775e66c703fe0",
+    (3, 1, "alt", "json"): "02737c2142c4eef1466632866a35da75c4319a84129bfbc4705673e397cf15fa",
+    (3, 1, "alt", "text"): "562635c00c4d05ac3b964044c43e22484703e3800ff4ac381c172def74fbff96",
+    (3, 2, "sym", "json"): "e85168abb4cc8ff036604f819c71b8395cd7034f50614573a5905cf2288bcb70",
+    (3, 2, "sym", "text"): "3273eddb9b92a2cc1f9d4d2bc48228bd052be34e8e9f5a5c5f7b2f78e7caa019",
+    (3, 2, "alt", "json"): "6e7f7b8d30af26e6568521ad54521d734a749f83c22aa7b4ce16514531a8f6d9",
+    (3, 2, "alt", "text"): "3dcf6d147bb3a5877caa0210895aea5f995bbbf2278bfafd109c951d14292354",
+    (3, 3, "sym", "json"): "7946593524e8dd61b8c078c53d598b4b2f626c32c02f807a24b2e949810cf99e",
+    (3, 3, "sym", "text"): "4cee6af7a52c6a164b3a4057511ae09d0988b4ca512c8cf9cafff30da246e4e8",
+    (3, 3, "alt", "json"): "8248589a1942922102fc3f5bb2abc9a1a5e2ce738d62cccb64102d1d08b688e2",
+    (3, 3, "alt", "text"): "549f90cf35d526450dd3f62172fc48eee2d97b8d31ac2e6e2205e48531e57576",
+    (3, 4, "sym", "json"): "5993eeecfae91efc03dd62719cd6bd1a2239962648a6c58b38cfaed65512e35f",
+    (3, 4, "sym", "text"): "84b547569746ddd89f7dd9810b22918977d9db1326f8c91331c2e5ab5612bf00",
+    (3, 4, "alt", "json"): "0db9cf8de3a1d23d9390cfb964669cccef9fc171b6ecd69a7324d7877a6a5932",
+    (3, 4, "alt", "text"): "00fc80ec667e62b19d663777db475cd0ee76f204caccc5030cf3926adef5e754",
+    (3, 5, "sym", "json"): "ae9e1aa389477b59b2cc5e49d24fb19cb4cbb94de2ac5dbdc92c67e9f3de9d13",
+    (3, 5, "sym", "text"): "8a5910ec78eb09f31cff1d11df99d365308cad4cac39314ed4f78e056a8d67f1",
+    (3, 5, "alt", "json"): "39b059ec81fe29e57f0cf4d44f5b4d3a6dbc6b2443ad7a612a69795d667f5fc3",
+    (3, 5, "alt", "text"): "7e4f80ee0c5e7f9f524fd82f9d970c949e557d1038a263ad2a14f63c6dd83aac",
+    (3, 6, "sym", "json"): "cd388ab4cb3b7413be297de3034c71769d332aa07385fc19f67dc9fe3b90c8a6",
+    (3, 6, "sym", "text"): "c28cf13d2a49d6697386b5086a2a86b7aef97b2064ca0f1a5d82a4ea110a6547",
+    (3, 6, "alt", "json"): "da7ad85f976128b18bba6493aa95ab02f9bcc50bfb7733c788e5048c8a453682",
+    (3, 6, "alt", "text"): "fa33cceb4257621744ba95fa2d81d5fe420aa90d39b05ae8588b0a9c8dbfc015",
+    (2, 7, "sym", "json"): "7b7de2d5c27955d46ef7fcf3134f6ac0b92fd31e0c88230043434215503113f4",
+    (2, 7, "sym", "text"): "c876043b714437807ee009afc996a13d2d4f295006e1a148c832d49d1cb15b4e",
+    (2, 7, "alt", "json"): "76e72a52f2668592aa189be0f21b68f378e2ede453c3ddc949ec33e32acfa58b",
+    (2, 7, "alt", "text"): "7529b374fd81811aef75104c3a59e944ca3b8eee56b7f29805a6aaa7a7e1028e",
+}
+
+
+@pytest.mark.parametrize("k, m, variant, fmt", sorted(EXPANDED_SHA256))
+def test_expanded_output_bytes_are_pinned(tmp_path, k, m, variant, fmt):
+    out = tmp_path / "out"
+    assert main(["decompose", "--k", str(k), "--m", str(m), "--variant", variant,
+                 "--format", fmt, "--expand", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPANDED_SHA256[k, m, variant, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--m", "86", "--expand"],
+    ["decompose", "--m", "86", "--expand", "--format", "json"],
+    ["decompose", "--k", "2", "--m", "128", "--variant", "alt", "--expand"],
+    ["hwv", "--m", "86", "--shape", "258", "--expand"],
+])
+def test_expand_past_the_degree_bound_exits_2_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(hwv.GeneratorWord, "expand", no_work)
+    monkeypatch.setattr(hwv.WordK2, "expand", no_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    k_times_m = 2 * 128 if "--k" in argv else 3 * 86
+    assert captured.err == (
+        f"plethysm: error: --expand needs k*m <= {MAX_DEGREE}, got {k_times_m}\n"
+    )

@@ -200,6 +200,23 @@ def test_kernel_size_guard_fires_before_any_orbit_sum(monkeypatch):
             oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=dim - 1)
 
 
+def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
+    # against every ordered column triple, sorted and deduplicated
+    yields = 0
+    for m, n in [(m, 3) for m in range(0, 7)] + [(m, 4) for m in range(0, 4)]:
+        orbits = {}
+        for cols in itertools.product(monomial_exponents(m, n), repeat=3):
+            weight = tuple(map(sum, zip(*cols)))
+            orbits.setdefault(weight, set()).add(tuple(sorted(cols, reverse=True)))
+        for shape in _partitions(3 * m, n):
+            weight = tuple(shape) + (0,) * (n - len(shape))
+            got = list(oracle._exponent_matrices(m, n, weight))
+            assert len(got) == len(orbits[weight]) and set(got) == orbits[weight]
+            if (m, n) == (6, 3):
+                yields += len(got)
+    assert yields == 851
+
+
 def test_kernel_env_override(monkeypatch):
     monkeypatch.setenv("PLETHYSM_MAX_DIM", "1")
     with pytest.raises(InstanceTooLargeError):
