@@ -25,9 +25,11 @@ print("alt m=4 table:", table)
 assert multiplicities_by_kostka(m, n, "alt") == table
 
 # Kernel-level oracle on the interesting shapes.  This one works inside
-# the honest representation: orbit sums of monomial triples, adjacent
-# raising operators, and a rank found modulo 2^61 - 1 that integer kernel
-# vectors prove exact over Q (Bareiss elimination over Z where they do not).
+# the honest representation, in orbit coordinates: each orbit sum of monomial
+# triples is named by its column-sorted triple, the adjacent raising operators
+# are read off by moving one unit between rows (no polynomial is built), and
+# the rank is found modulo 2^61 - 1 and proved exact over Q by integer kernel
+# vectors (Bareiss elimination over Z where they do not).
 for shape in [(7, 4, 1), (6, 3, 3), (12,)]:
     got = hwv_kernel_multiplicity(m, n, shape, "alt")
     print(f"kernel multiplicity of {shape}:", got)

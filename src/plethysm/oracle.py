@@ -13,7 +13,10 @@ Two cross-checks that share no code with the word enumeration:
 
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
-   weight-D subspace of the invariant (or sign) isotypic component.  Its rank
+   weight-D subspace of the invariant (or sign) isotypic component.  The
+   matrix is written in orbit coordinates: basis vectors and images are named
+   by column-sorted exponent matrices, and its entries are read off by moving
+   one unit between adjacent rows, with no polynomial arithmetic.  Its rank
    is found by sparse elimination modulo the prime 2^61 - 1 and proved exact
    over Q by integer kernel vectors checked against the original matrix;
    where that proof fails, fraction-free (Bareiss) elimination over Z decides.
@@ -24,15 +27,14 @@ point of this module is that they would not if any of those were wrong.
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import add, sub
+from operator import add, le, sub
 
-from .actions import permutation_sign, raising_operator
-from .polynomials import Monomial, Polynomial
+from .actions import permutation_sign
+from .actions import raising_operator  # noqa: F401  perfbench/tracing.py wraps oracle.raising_operator
 from .tableaux import Diagram, normalize_partition, pad
 from .tableaux import kostka  # noqa: F401  perfbench/tracing.py wraps oracle.kostka
 
@@ -188,39 +190,31 @@ def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
 
     A matrix is a triple of column vectors.
     """
-    monos = monomial_exponents(m, n)  # decreasing, so monos[i:] are <= monos[i]
-    mono_set = set(monos)
-    for i, col1 in enumerate(monos):
-        if any(col1[r] > weight[r] for r in range(n)):
-            continue
-        rest1 = tuple(weight[r] - col1[r] for r in range(n))
-        for col2 in monos[i:]:
-            if any(col2[r] > rest1[r] for r in range(n)):
-                continue
-            col3 = tuple(rest1[r] - col2[r] for r in range(n))
-            if col3 <= col2 and col3 in mono_set:
+    # decreasing, so fits[i:] are <= fits[i]
+    fits = [col for col in monomial_exponents(m, n) if all(map(le, col, weight))]
+    fit_set = set(fits)
+    for i, col1 in enumerate(fits):
+        rest1 = tuple(map(sub, weight, col1))
+        for col2 in fits[i:]:
+            col3 = tuple(map(sub, rest1, col2))
+            # col3 grows as col2 shrinks, so no later col2 is >= its col3
+            if col3 > col2:
+                break
+            if col3 in fit_set:
                 yield col1, col2, col3
 
 
-def _matrix_monomial(cols: tuple[tuple[int, ...], ...]) -> Monomial:
-    exps = {}
-    for j, col in enumerate(cols, start=1):
-        for i, e in enumerate(col, start=1):
-            if e:
-                exps[(i, j)] = e
-    return Monomial(exps)
-
-
 def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
-                           variant: str, *, max_dim: int) -> list[Polynomial]:
-    """Orbit sums spanning the invariant or sign part of one weight space.
+                           variant: str, *, max_dim: int) -> list[tuple]:
+    """Orbit representatives naming a basis of the invariant or sign part of
+    one weight space.
 
     Column permutations act on exponent matrices; invariants get one plain
-    orbit sum per orbit, while the sign component only sees free orbits
-    (any repeated column forces a stabilizer containing a transposition,
-    which kills the signed sum).  The orbits are counted as they are found,
-    and InstanceTooLargeError is raised once there are more than max_dim,
-    before any orbit sum is built.
+    orbit sum per orbit, while the sign component only sees free orbits (any
+    repeated column forces a stabilizer containing a transposition, which
+    kills the signed sum).  A basis vector is named by its orbit's sorted
+    matrix and never built.  InstanceTooLargeError is raised once more than
+    max_dim orbits are found.
     """
     reps: list[tuple] = []
     for rep in _exponent_matrices(m, n, weight):
@@ -230,20 +224,46 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
                 raise InstanceTooLargeError(
                     f"weight space dimension exceeds bound {max_dim}"
                 )
-    basis: list[Polynomial] = []
-    for rep in reps:
-        if variant == "sym":
-            terms = {_matrix_monomial(perm): 1 for perm in set(itertools.permutations(rep))}
-        else:
-            terms = {
-                _matrix_monomial(tuple(rep[p] for p in perm)): sign
-                for perm, sign in (
-                    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                    ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-                )
-            }
-        basis.append(Polynomial(terms))
-    return basis
+    return reps
+
+
+def _raising_rows(basis: list[tuple], p: int, alt: bool) -> list[list[int]]:
+    """The matrix of E_p, which moves a unit from row p + 1 to row p (0-based),
+    on the orbit sums named by `basis`: one row per target.
+
+    E_p commutes with column permutations, so an image is fixed by its
+    coefficients at column-sorted matrices T (with distinct columns for alt).
+    The coefficient of x^T in E_p(v_R) sums, over each column j with
+    T[j][p] > 0, the preimage N that moves the unit back, times N[j][p + 1]
+    and times N's coefficient in v_R: 1, or for alt the sign of the
+    permutation that sorts N into R.
+    """
+    up = p + 1
+    targets: dict[tuple, None] = {}
+    for rep in basis:
+        for j, col in enumerate(rep):
+            if col[up]:
+                moved = list(rep)
+                moved[j] = col[:p] + (col[p] + 1, col[up] - 1) + col[up + 1:]
+                target = tuple(sorted(moved, reverse=True))
+                if not (alt and (target[0] == target[1] or target[1] == target[2])):
+                    targets[target] = None
+    position = {rep: i for i, rep in enumerate(basis)}
+    rows = []
+    for target in targets:
+        row = [0] * len(basis)
+        for j, col in enumerate(target):
+            if col[p]:
+                preimage = list(target)
+                preimage[j] = col[:p] + (col[p] - 1, col[up] + 1) + col[up + 1:]
+                a, b, c = preimage
+                i = position.get(tuple(sorted(preimage, reverse=True)))
+                if i is not None:
+                    # for distinct columns, the sign of the sort is (-1)^inversions
+                    sign = -1 if alt and ((a < b) + (a < c) + (b < c)) % 2 else 1
+                    row[i] += sign * (col[up] + 1)
+        rows.append(row)
+    return rows
 
 
 _PRIME = (1 << 61) - 1
@@ -392,11 +412,13 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
                             max_dim: int | None = None) -> int:
     """Multiplicity of the weight-`shape` constituent, by exact kernel computation.
 
-    Builds the weight-`shape` slice of the isotypic component, applies every
-    adjacent raising operator, and returns the dimension of the joint kernel.
-    Raises ValueError unless `variant` is 'sym' or 'alt', and
-    InstanceTooLargeError when the slice dimension exceeds max_dim (default
-    from PLETHYSM_MAX_DIM, else 2000), before the slice is built.
+    Names the weight-`shape` slice of the isotypic component by its orbit
+    representatives, writes down every adjacent raising operator on it in
+    orbit coordinates (no polynomial is built), and returns the dimension of
+    the joint kernel.  Any number of rows n works.  Raises ValueError unless
+    `variant` is 'sym' or 'alt', and InstanceTooLargeError when the slice
+    dimension exceeds max_dim (default from PLETHYSM_MAX_DIM, else 2000),
+    before any matrix entry is computed.
     """
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
@@ -411,18 +433,7 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
     basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
     if not basis:
         return 0
-    rows: list[list[int]] = []
-    for p in range(1, n):
-        images = [raising_operator(v, p, p + 1) for v in basis]
-        index: dict[Monomial, int] = {}
-        for img in images:
-            for mono, _ in img.terms():
-                index.setdefault(mono, len(index))
-        block = [[0] * len(basis) for _ in range(len(index))]
-        for jcol, img in enumerate(images):
-            for mono, coeff in img.terms():
-                block[index[mono]][jcol] = coeff
-        rows.extend(block)
+    rows = [row for p in range(n - 1) for row in _raising_rows(basis, p, variant == "alt")]
     if not rows:
         return len(basis)
     return len(basis) - rank_of_integer_matrix(rows)

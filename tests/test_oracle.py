@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethysm import oracle
+import kernel_reference
+from plethysm import actions, oracle
 from plethysm.hwv import decompose, multiplicity_closed_form
+from plethysm.polynomials import Polynomial
 from plethysm.oracle import (
     InstanceTooLargeError,
     _rank_bareiss,
@@ -180,11 +182,12 @@ def test_kernel_size_bound():
         hwv_kernel_multiplicity(3, 3, (4, 4, 1), "sym", max_dim=1)
 
 
-def test_kernel_size_guard_fires_before_any_orbit_sum(monkeypatch):
-    def no_orbit_sums(cols):
-        raise AssertionError("orbit sum built for an over-bound instance")
+def test_kernel_size_guard_fires_before_any_row_is_built(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("matrix built for an over-bound instance")
 
-    monkeypatch.setattr(oracle, "_matrix_monomial", no_orbit_sums)
+    monkeypatch.setattr(oracle, "_raising_rows", no_matrix)
+    monkeypatch.setattr(oracle, "rank_of_integer_matrix", no_matrix)
     for variant in ("sym", "alt"):
         with pytest.raises(InstanceTooLargeError):
             hwv_kernel_multiplicity(3, 3, (4, 4, 1), variant, max_dim=1)
@@ -313,12 +316,50 @@ def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
         assert rank(rows) == _rank_bareiss(rows)
 
 
-def test_kernel_oracle_matches_closed_form_m4_to_m6():
-    for m in range(4, 7):
+def test_kernel_oracle_matches_closed_form_m4_to_m8():
+    for m in range(4, 9):
         for variant in ("sym", "alt"):
             for shape in _partitions(3 * m, 3):
                 assert hwv_kernel_multiplicity(m, 3, shape, variant) == (
                     multiplicity_closed_form(shape, variant))
+
+
+KERNEL_REFERENCE_CASES = [(m, 2) for m in range(0, 7)] + [(m, 3) for m in range(0, 6)] + [
+    (m, 4) for m in range(0, 5)
+]
+
+
+@pytest.mark.parametrize("m,n", KERNEL_REFERENCE_CASES)
+def test_kernel_oracle_matches_the_polynomial_reference(m, n):
+    for variant in ("sym", "alt"):
+        for shape in _partitions(3 * m, n):
+            assert hwv_kernel_multiplicity(m, n, shape, variant) == (
+                kernel_reference.hwv_kernel_multiplicity(m, n, shape, variant)), shape
+
+
+def test_kernel_oracle_matches_the_character_oracle_on_five_rows():
+    for m in range(0, 3):
+        for variant in ("sym", "alt"):
+            mults = multiplicities_by_kostka(m, 5, variant)
+            assert set(mults) <= set(_partitions(3 * m, 5))
+            for shape in _partitions(3 * m, 5):
+                assert hwv_kernel_multiplicity(m, 5, shape, variant) == mults.get(shape, 0)
+
+
+def test_kernel_oracle_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel oracle used the polynomial layer")
+
+    monkeypatch.setattr(Polynomial, "polarize", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(actions, "raising_operator", refuse)
+    monkeypatch.setattr(oracle, "raising_operator", refuse)
+    got = {(m, shape, variant): hwv_kernel_multiplicity(m, 3, shape, variant)
+           for m in range(0, 4) for variant in ("sym", "alt")
+           for shape in _partitions(3 * m, 3)}
+    monkeypatch.undo()
+    for (m, shape, variant), mult in got.items():
+        assert mult == multiplicity_closed_form(shape, variant)
 
 
 def test_weyl_dimension():
