@@ -11,8 +11,9 @@ Exit codes:
 
 * 0: success.
 * 1: verification failure (some check of ``verify`` failed).
-* 2: usage error, including a malformed PLETHYSM_MAX_DIM and ``--expand``
-  past the degree bound (k*m at most ``polynomials.MAX_DEGREE``).
+* 2: usage error, including a malformed PLETHYSM_MAX_DIM, ``--expand``
+  past the degree bound (k*m at most ``polynomials.MAX_DEGREE``) and an
+  ``--output`` file that cannot be written.
 * 3: instance too large (a kernel computation exceeds the size bound).
 
 Codes 2 and 3 come with a one-line message on stderr.
@@ -102,8 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # exit 2 like any usage error, not 1 or a traceback
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -125,12 +129,7 @@ def cmd_decompose(parser: argparse.ArgumentParser, args) -> int:
     _validate_common(parser, args)
     report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
-        obj = report.to_json_obj()
-        if args.expand:
-            for entry, enc in zip(report.entries, obj["entries"]):
-                for word, wenc in zip(entry.words, enc["words"]):
-                    wenc["polynomial"] = word.expand().to_json_obj()
-        _emit(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", args.output)
+        _emit(report.to_json_text(expand=args.expand), args.output)
     else:
         _emit(report.to_text(expand=args.expand) + "\n", args.output)
     return 0
@@ -143,23 +142,12 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--shape has more than k = {args.k} rows; no words exist")
     if sum(shape) != args.k * args.m:
         parser.error(f"|shape| must equal k*m = {args.k * args.m}")
-    entries = hwv.decompose(args.k, args.m, args.variant).entries
-    words = next((e.words for e in entries if e.diagram == shape), ())
+    report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
-        obj = {
-            "k": args.k,
-            "m": args.m,
-            "variant": args.variant,
-            "shape": list(shape),
-            "words": [w.to_json_obj() for w in words],
-        }
-        if args.expand:
-            for word, wenc in zip(words, obj["words"]):
-                wenc["polynomial"] = word.expand().to_json_obj()
-        _emit(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", args.output)
+        _emit(report.to_json_text(expand=args.expand, shape=shape), args.output)
     else:
         lines = []
-        for word in words:
+        for word in report.words_of(shape):
             lines.append(f"{word}  grade={word.grade()}  "
                          f"weight=({','.join(map(str, word.weight()))})")
             if args.expand:

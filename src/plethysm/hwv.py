@@ -436,6 +436,10 @@ class DecompositionReport:
     def multiplicities(self) -> dict[Diagram, int]:
         return {entry.diagram: entry.multiplicity for entry in self.entries}
 
+    def words_of(self, diagram: Diagram) -> tuple:
+        """The words of the constituent with this diagram; () if it has none."""
+        return next((e.words for e in self.entries if e.diagram == diagram), ())
+
     def total_multiplicity(self) -> int:
         return sum(entry.multiplicity for entry in self.entries)
 
@@ -458,6 +462,9 @@ class DecompositionReport:
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
+        return self._json_obj(expand=False)
+
+    def _json_obj(self, expand: bool) -> dict:
         return {
             "k": self.k,
             "m": self.m,
@@ -466,14 +473,35 @@ class DecompositionReport:
                 {
                     "diagram": list(entry.diagram),
                     "multiplicity": entry.multiplicity,
-                    "words": [w.to_json_obj() for w in entry.words],
+                    "words": _word_json_objs(entry.words, expand),
                 }
                 for entry in self.entries
             ],
         }
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False) + "\n"
+    def to_json_text(self, expand: bool = False, shape: Diagram | None = None) -> str:
+        """The report as JSON with ``indent=2``, and a final newline.
+
+        With ``expand`` each word object gains a ``"polynomial"`` key, whose
+        value ``Polynomial.to_json_text`` writes; only the rest goes through
+        ``json.dumps``.  With ``shape`` only that diagram's words are written,
+        in the ``{"k", "m", "variant", "shape", "words"}`` layout of ``hwv``.
+        """
+        if shape is None:
+            words = [w for entry in self.entries for w in entry.words]
+            obj = self._json_obj(expand)
+            level = 10  # indent of a word's keys under "entries"
+        else:
+            words = self.words_of(shape)
+            obj = {"k": self.k, "m": self.m, "variant": self.variant,
+                   "shape": list(shape), "words": _word_json_objs(words, expand)}
+            level = 6  # indent of a word's keys under "words"
+        pieces = json.dumps(obj, indent=2, ensure_ascii=False).split(_POLYNOMIAL_SLOT_TEXT)
+        out = [pieces[0]]
+        for word, piece in zip(words, pieces[1:]):  # the slots are in word order
+            out += (word.expand().to_json_text(level), piece)
+        out.append("\n")
+        return "".join(out)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionReport":
@@ -487,6 +515,18 @@ class DecompositionReport:
             for e in obj["entries"]
         )
         return cls(k=obj["k"], m=obj["m"], variant=obj["variant"], entries=entries)
+
+
+# Stands in for a polynomial until the JSON text is written.  json.dumps
+# escapes it as "\u0000", which no other string in a report contains.
+_POLYNOMIAL_SLOT = "\0"
+_POLYNOMIAL_SLOT_TEXT = json.dumps(_POLYNOMIAL_SLOT)
+
+
+def _word_json_objs(words, expand: bool) -> list[dict]:
+    if expand:
+        return [dict(w.to_json_obj(), polynomial=_POLYNOMIAL_SLOT) for w in words]
+    return [w.to_json_obj() for w in words]
 
 
 def _diagram_str(diagram: Diagram) -> str:

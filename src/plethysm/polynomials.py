@@ -29,7 +29,7 @@ key where one crosses the API.  Both types are immutable.
 from __future__ import annotations
 
 import itertools
-from functools import reduce, total_ordering
+from functools import lru_cache, reduce, total_ordering
 from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -440,12 +440,49 @@ class Polynomial:
             for key in sorted(terms, reverse=True)
         ]
 
+    def to_json_text(self, level: int = 0) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False)``, every
+        line after the first indented by ``level`` more spaces, written from
+        the keys without building the list of dicts.
+
+        ``level`` is the indent of the line that holds the polynomial, so the
+        text can be spliced into a larger ``indent=2`` document.
+        """
+        terms = self._terms
+        if not terms:
+            return "[]"
+        pad, triples = _json_layout(level)
+        exps_sep = "," + pad + "      "
+        exps = "[" + pad + "      {}" + pad + "    ]"
+        bodies = [
+            str(terms[key]) + '",' + pad + '    "exps": '
+            + (exps.format(exps_sep.join([t[e] for t, e in zip(triples, _fields(key)) if e]))
+               if key else "[]")
+            for key in sorted(terms, reverse=True)
+        ]
+        open_term = pad + "  {" + pad + '    "coeff": "'
+        return ("[" + open_term + (pad + "  }," + open_term).join(bodies)
+                + pad + "  }" + pad + "]")
+
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "Polynomial":
         return cls._make(_sum_terms(
             (_encode({(r, c): e for r, c, e in term["exps"]}), int(term["coeff"]))
             for term in obj
         ))
+
+
+@lru_cache(maxsize=None)
+def _json_layout(level: int) -> tuple[str, tuple[list[str], ...]]:
+    """The line break for ``level`` and, per variable, the text of its
+    ``[row, col, exp]`` triple for every exponent, as ``Polynomial.to_json_text``
+    writes them; built on the first use of a level."""
+    pad = "\n" + " " * level
+    return pad, tuple(
+        [f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"
+         for e in range(MAX_DEGREE + 1)]
+        for row, col in _VARS
+    )
 
 
 def variable(row: int, col: int) -> Polynomial:

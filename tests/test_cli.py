@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from plethysm import hwv
 from plethysm.cli import main
 from plethysm.hwv import decompose
-from plethysm.polynomials import MAX_DEGREE
+from plethysm.polynomials import MAX_DEGREE, Polynomial
 from plethysm.verify import load_golden_text
 
 
@@ -238,3 +239,56 @@ def test_expand_past_the_degree_bound_exits_2_before_any_work(monkeypatch, capsy
     assert captured.err == (
         f"plethysm: error: --expand needs k*m <= {MAX_DEGREE}, got {k_times_m}\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--m", "2"], ["verify", "--m", "1"]],
+                         ids=["decompose", "verify"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    assert main([*argv, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"plethysm: error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+def _shapes(k, m):
+    """Every diagram of k*m boxes in at most k rows."""
+    return sorted({tuple(p for p in parts if p)
+                   for parts in itertools.product(range(k * m + 1), repeat=k)
+                   if sum(parts) == k * m and list(parts) == sorted(parts, reverse=True)})
+
+
+def _hwv_json_by_the_encoder(k, m, variant, shape):
+    """`hwv --expand --format json` as it was built before the emitter: word
+    dicts, each polynomial's `to_json_obj`, and `json.dumps(indent=2)`."""
+    words = next((e.words for e in decompose(k, m, variant).entries if e.diagram == shape), ())
+    obj = {"k": k, "m": m, "variant": variant, "shape": list(shape),
+           "words": [w.to_json_obj() for w in words]}
+    for word, wenc in zip(words, obj["words"]):
+        wenc["polynomial"] = word.expand().to_json_obj()
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("k, m, variant", [
+    (k, m, variant) for k in (2, 3) for variant in ("sym", "alt")
+    for m in range(0 if variant == "sym" else 1, 6)
+])
+def test_hwv_expand_json_matches_the_encoder(capsys, k, m, variant):
+    for shape in _shapes(k, m):
+        code, out = run(capsys, "hwv", "--k", str(k), "--m", str(m), "--variant", variant,
+                        "--shape", ",".join(map(str, shape)) or "0",
+                        "--expand", "--format", "json")
+        assert code == 0
+        assert out == _hwv_json_by_the_encoder(k, m, variant, shape), shape
+
+
+def test_expand_json_sends_no_polynomial_through_the_encoder(monkeypatch, capsys):
+    def encoder_input(self):
+        raise AssertionError("a polynomial was built for json.dumps")
+
+    monkeypatch.setattr(Polynomial, "to_json_obj", encoder_input)
+    for argv in (["decompose", "--m", "4"], ["hwv", "--m", "4", "--shape", "8,4"]):
+        code, out = run(capsys, *argv, "--expand", "--format", "json")
+        assert code == 0
+        assert '"polynomial": [' in out
