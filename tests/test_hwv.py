@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+import word_reference
 from plethysm.actions import (
     is_sign_equivariant,
     is_sk_invariant,
@@ -243,3 +246,44 @@ def test_word_rendering():
     assert str(GeneratorWord(0, 0, 0, 0, 0, 0, "sym")) == "1"
     assert str(GeneratorWord(0, 0, 1, 1, 0, 0, "alt_gamma1")) == "a3*g1^3"
     assert str(WordK2(2, 3)) == "a^2*g^3"
+
+
+def _word_view(word) -> tuple:
+    """Everything a word shows: printed form, grade, weight, diagram,
+    expansion, and its JSON object with the key order."""
+    return (str(word), word.grade(), word.weight(), word.diagram(), word.expand(),
+            list(word.to_json_obj().items()))
+
+
+@pytest.mark.parametrize("k, m_max", [(3, 10), (2, 12)])
+@pytest.mark.parametrize("variant", ["sym", "alt"])
+def test_words_match_the_reference(k, m_max, variant):
+    for m in range(0 if variant == "sym" else 1, m_max + 1):
+        report = decompose(k, m, variant)
+        expected = word_reference.grouped_words(k, m, variant)
+        assert [e.diagram for e in report.entries] == [d for d, _ in expected]
+        for entry, (_, words) in zip(report.entries, expected):
+            assert [_word_view(w) for w in entry.words] == [_word_view(w) for w in words]
+        if k == 3:
+            assert ([_word_view(w) for w in enumerate_basis(m, variant)]
+                    == [_word_view(w) for w in word_reference.enumerate_basis(m, variant)])
+
+
+def test_words_for_weight_matches_the_reference():
+    for m in range(0, 13):
+        for variant in ("sym", "alt") if m else ("sym",):
+            for l2 in range(0, 3 * m // 2 + 1):
+                for l3 in range(0, min(l2, 3 * m - 2 * l2) + 1):
+                    shape = (3 * m - l2 - l3, l2, l3)
+                    assert ([str(w) for w in words_for_weight(m, shape, variant)]
+                            == [str(w) for w in
+                                word_reference.words_for_weight(m, shape, variant)]), shape
+
+
+@pytest.mark.parametrize("k, m, variant", [(2, 7, "alt"), (2, 6, "sym"),
+                                           (3, 4, "sym"), (3, 5, "alt")])
+def test_report_reads_back_an_expanded_json_document(k, m, variant):
+    report = decompose(k, m, variant)
+    obj = json.loads(report.to_json_text(expand=True))
+    assert all("polynomial" in w for e in obj["entries"] for w in e["words"])
+    assert DecompositionReport.from_json_obj(obj) == report
