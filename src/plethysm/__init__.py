@@ -25,7 +25,6 @@ from .hwv import (
     beta_general,
     decompose,
     enumerate_basis,
-    enumerate_basis_k2,
     generators_k2,
     generators_k3,
     multiplicity_closed_form,
@@ -90,7 +89,6 @@ __all__ = [
     "decompose",
     "delta_tableau",
     "enumerate_basis",
-    "enumerate_basis_k2",
     "enumerate_sst",
     "generators_k2",
     "generators_k3",

@@ -13,7 +13,7 @@ Exit codes:
 * 1: verification failure (some check of ``verify`` failed).
 * 2: usage error, including a malformed PLETHYSM_MAX_DIM, ``--expand``
   past the degree bound (k*m at most ``polynomials.MAX_DEGREE``) and an
-  ``--output`` file that cannot be written.
+  ``--output`` file that cannot be written (checked before any work).
 * 3: instance too large (a kernel computation exceeds the size bound).
 
 Codes 2 and 3 come with a one-line message on stderr.
@@ -22,7 +22,9 @@ Codes 2 and 3 come with a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import hwv, oracle, polynomials, tableaux, verify
@@ -66,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="inner symmetric power")
         p.add_argument("--variant", choices=("sym", "alt"), default="sym",
                        help="symmetric or alternating outer power")
-        p.add_argument("--n", type=int, default=4,
-                       help="ambient rank, only bounds validity (default 4)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--expand", action="store_true",
                        help="include expanded polynomials")
@@ -112,13 +112,29 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_output(output: str) -> None:
+    """Refuse an ``--output`` that cannot be written, before any work starts.
+
+    Nothing is created or truncated here; ``_emit`` still turns a write that
+    fails anyway into the same error.
+    """
+    parent = os.path.dirname(output) or os.curdir
+    if not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif os.path.isdir(output):
+        reason = errno.EISDIR
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
+
+
 def _validate_common(parser: argparse.ArgumentParser, args) -> None:
     if args.m < 0:
         parser.error("--m must be nonnegative")
     if args.variant == "alt" and args.m < 1:
         parser.error("the alternating component needs --m >= 1")
-    if args.n < args.k:
-        parser.error(f"--n must be at least k = {args.k}")
     if args.expand and args.k * args.m > polynomials.MAX_DEGREE:
         # ValueError rather than parser.error: one line on stderr, before any work
         raise ValueError(f"--expand needs k*m <= {polynomials.MAX_DEGREE}, "
@@ -203,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if args.output:
+            _check_output(args.output)
         return handlers[args.command](parser, args)
     except oracle.InstanceTooLargeError as exc:
         print(f"plethysm: instance too large: {exc}", file=sys.stderr)

@@ -25,6 +25,12 @@ with (p, q) = (2d, 2e) or (2d+1, 2e+1) give the invariant basis, while
 (p, q) = (2d+1, 2e) or (2d, 2e+1) give the sign basis.  Distinct words have
 distinct leading monomials, which is how linear independence is proved.
 
+For k = 2 the words are alpha^i * gamma^j with alpha = x[1][1]*x[1][2] and
+gamma = delta[1][2], j even for the invariants and odd for the sign part.
+For both k, a word's grade, weight, expansion and printed form are computed
+from one factor table, ``_FACTORS``, which lists each generator's label,
+grade and weight; ``decompose(k, m, variant)`` is the entry point for both.
+
 A note on indexing: beta2 here carries the factor x[1][2] (the cofactor
 convention that makes beta2 + beta3 + the missing term sum against the
 Pluecker relation).  The permutation-equivariant family ``beta_general``
@@ -37,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .polynomials import Polynomial, variable
 from .tableaux import Diagram, normalize_partition, pad
@@ -163,19 +170,66 @@ def verify_discriminant_relation() -> DiscriminantCheck:
     return DiscriminantCheck(corrected_holds=corrected, gamma1_variant_holds=printed)
 
 
-# Grades (column degree, all columns equal) and weights of the generators.
-_GRADE = {"alpha1": 1, "alpha2": 2, "alpha3": 3, "gamma1": 1, "gamma2": 2}
-_WEIGHT = {
-    "alpha1": (3, 0, 0),
-    "alpha2": (4, 2, 0),
-    "alpha3": (6, 3, 0),
-    "gamma1": (1, 1, 1),
-    "gamma2": (3, 3, 0),
+# The factor table: for each k, the generators of a word in the order they
+# are multiplied and printed, each with its printed label, its name in
+# generators_k2/generators_k3, its grade (the degree in every column) and
+# its weight.
+_FACTORS = {
+    2: (("a", "alpha", 1, (2, 0)),
+        ("g", "gamma", 1, (1, 1))),
+    3: (("a1", "alpha1", 1, (3, 0, 0)),
+        ("a2", "alpha2", 2, (4, 2, 0)),
+        ("a3", "alpha3", 3, (6, 3, 0)),
+        ("g1", "gamma1", 1, (1, 1, 1)),
+        ("g2", "gamma2", 2, (3, 3, 0))),
 }
+# Row r of a word's weight is sum(exponent * weight[r]) over the factors.
+_WEIGHT_ROWS = {k: tuple(zip(*(weight for _, _, _, weight in table)))
+                for k, table in _FACTORS.items()}
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class _Word:
+    """Grade, weight, expansion and printed form of a word, read off the
+    factor table of its k.  A subclass sets ``_k`` and gives ``exponents()``,
+    one per row of the table."""
+
+    def _factors(self):
+        return zip(_FACTORS[self._k], self.exponents())
+
+    def grade(self) -> int:
+        return sum(grade * exp for (_, _, grade, _), exp in self._factors())
+
+    def weight(self) -> tuple[int, ...]:
+        exponents = self.exponents()
+        return tuple([sum(map(mul, row, exponents)) for row in _WEIGHT_ROWS[self._k]])
+
+    def diagram(self) -> Diagram:
+        return normalize_partition(self.weight())
+
+    def expand(self) -> Polynomial:
+        """The word as an explicit polynomial on rows 1..k."""
+        (_, first, _, _), *rest = _FACTORS[self._k]
+        exponents = self.exponents()
+        poly = _generator_power(self._k, first, exponents[0])
+        for (_, name, _, _), exp in zip(rest, exponents[1:]):
+            if exp:
+                poly = poly * _generator_power(self._k, name, exp)
+        return poly
+
+    def __str__(self) -> str:
+        factors = [label if exp == 1 else f"{label}^{exp}"
+                   for (label, _, _, _), exp in self._factors() if exp]
+        return "*".join(factors) or "1"
+
+
+@lru_cache(maxsize=None)
+def _generator_power(k: int, name: str, exp: int) -> Polynomial:
+    generators = generators_k3() if k == 3 else generators_k2()
+    return generators[name] ** exp
+
+
+@dataclass(frozen=True, order=True)
+class GeneratorWord(_Word):
     """A word alpha1^a * alpha2^b * alpha3^c * gamma1^p * gamma2^q.
 
     The gamma exponents are encoded through (d, e, f) so that each parity
@@ -187,7 +241,7 @@ class GeneratorWord:
 
     c is 0 or 1 throughout (alpha3^2 reduces against the discriminant
     identity), and sym words span the S_3-invariants, alt words the
-    sign-equivariants.
+    sign-equivariants.  Words order by their fields, in field order.
     """
 
     a: int
@@ -197,6 +251,8 @@ class GeneratorWord:
     e: int
     f: int
     variant: str
+
+    _k = 3
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -222,47 +278,9 @@ class GeneratorWord:
             return 2 * self.e + 1
         return 2 * self.e + self.f
 
-    def grade(self) -> int:
-        p, q = self.gamma1_exponent, self.gamma2_exponent
-        return self.a + 2 * self.b + 3 * self.c + p + 2 * q
-
-    def weight(self) -> tuple[int, int, int]:
-        p, q = self.gamma1_exponent, self.gamma2_exponent
-        w1 = 3 * self.a + 4 * self.b + 6 * self.c + p + 3 * q
-        w2 = 2 * self.b + 3 * self.c + p + 3 * q
-        w3 = p
-        return (w1, w2, w3)
-
-    def diagram(self) -> Diagram:
-        return normalize_partition(self.weight())
-
-    def expand(self) -> Polynomial:
-        """The word as an explicit polynomial on rows 1..3."""
-        p, q = self.gamma1_exponent, self.gamma2_exponent
-        poly = _generator_power("alpha1", self.a)
-        for name, exp in (
-            ("alpha2", self.b),
-            ("alpha3", self.c),
-            ("gamma1", p),
-            ("gamma2", q),
-        ):
-            if exp:
-                poly = poly * _generator_power(name, exp)
-        return poly
-
-    def sort_key(self) -> tuple:
-        return (self.a, self.b, self.c, self.d, self.e, self.f, self.variant)
-
-    def __str__(self) -> str:
-        p, q = self.gamma1_exponent, self.gamma2_exponent
-        factors = []
-        for label, exp in (("a1", self.a), ("a2", self.b), ("a3", self.c),
-                           ("g1", p), ("g2", q)):
-            if exp == 1:
-                factors.append(label)
-            elif exp:
-                factors.append(f"{label}^{exp}")
-        return "*".join(factors) if factors else "1"
+    def exponents(self) -> tuple[int, int, int, int, int]:
+        """(a, b, c, p, q), the exponents of alpha1, alpha2, alpha3, gamma1, gamma2."""
+        return (self.a, self.b, self.c, self.gamma1_exponent, self.gamma2_exponent)
 
     def to_json_obj(self) -> dict:
         return {
@@ -277,9 +295,14 @@ class GeneratorWord:
                    obj["variant"])
 
 
-@lru_cache(maxsize=None)
-def _generator_power(name: str, exp: int) -> Polynomial:
-    return generators_k3()[name] ** exp
+def _check_component(m: int, variant: str) -> None:
+    """Reject a grade or a component ("sym" or "alt") that has no words."""
+    if m < 0:
+        raise ValueError(f"grade must be nonnegative, got {m}")
+    if variant not in ("sym", "alt"):
+        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
+    if variant == "alt" and m < 1:
+        raise ValueError("the alternating component needs m >= 1")
 
 
 def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
@@ -289,19 +312,9 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
     cover Λ^3(S^m) (m >= 1 there; Λ^3 of a line is zero so grade 0 is empty
     anyway, but callers should not ask).
     """
-    if m < 0:
-        raise ValueError(f"grade must be nonnegative, got {m}")
-    if variant == "sym":
-        variants = ("sym",)
-    elif variant == "alt":
-        if m < 1:
-            raise ValueError("the alternating component needs m >= 1")
-        variants = ("alt_gamma1", "alt_gamma2")
-    else:
-        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
-
+    _check_component(m, variant)
     words = []
-    for var in variants:
+    for var in ("sym",) if variant == "sym" else ("alt_gamma1", "alt_gamma2"):
         f_values = (0, 1) if var == "sym" else (0,)
         for f in f_values:
             # grade = a + 2b + 3c + (2d + 4e) + fixed offset from f or the
@@ -318,7 +331,7 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
                         for e in range((rest - 3 * c - 2 * b - 2 * d) // 4 + 1):
                             a = rest - 3 * c - 2 * b - 2 * d - 4 * e
                             words.append(GeneratorWord(a, b, c, d, e, f, var))
-    words.sort(key=GeneratorWord.sort_key)
+    words.sort()
     return words
 
 
@@ -327,8 +340,7 @@ def words_for_weight(m: int, shape, variant: str) -> list[GeneratorWord]:
     shape = normalize_partition(shape)
     if len(shape) > 3:
         raise BadShapeError(f"{shape} has more than three rows")
-    target = pad(shape, 3)
-    return [w for w in enumerate_basis(m, variant) if w.weight() == target]
+    return list(decompose(3, m, variant).words_of(shape))
 
 
 def multiplicity_closed_form(shape, variant: str) -> int:
@@ -358,41 +370,21 @@ def multiplicity_closed_form(shape, variant: str) -> int:
     return max(value, 0)
 
 
-@dataclass(frozen=True)
-class WordK2:
+@dataclass(frozen=True, order=True)
+class WordK2(_Word):
     """A word alpha^i * gamma^j for k = 2."""
 
     i: int
     j: int
 
+    _k = 2
+
     def __post_init__(self):
         if self.i < 0 or self.j < 0:
             raise ValueError("word exponents must be nonnegative")
 
-    def grade(self) -> int:
-        return self.i + self.j
-
-    def weight(self) -> tuple[int, int]:
-        return (2 * self.i + self.j, self.j)
-
-    def diagram(self) -> Diagram:
-        return normalize_partition(self.weight())
-
-    def expand(self) -> Polynomial:
-        g = generators_k2()
-        return g["alpha"] ** self.i * g["gamma"] ** self.j
-
-    def sort_key(self) -> tuple:
+    def exponents(self) -> tuple[int, int]:
         return (self.i, self.j)
-
-    def __str__(self) -> str:
-        factors = []
-        for label, exp in (("a", self.i), ("g", self.j)):
-            if exp == 1:
-                factors.append(label)
-            elif exp:
-                factors.append(f"{label}^{exp}")
-        return "*".join(factors) if factors else "1"
 
     def to_json_obj(self) -> dict:
         return {"alpha": self.i, "gamma": self.j}
@@ -400,21 +392,6 @@ class WordK2:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WordK2":
         return cls(obj["alpha"], obj["gamma"])
-
-
-def enumerate_basis_k2(m: int, variant: str) -> list[WordK2]:
-    """Words alpha^(m-j)*gamma^j with j even (sym) or odd (alt)."""
-    if m < 0:
-        raise ValueError(f"grade must be nonnegative, got {m}")
-    if variant == "sym":
-        start = 0
-    elif variant == "alt":
-        if m < 1:
-            raise ValueError("the alternating component needs m >= 1")
-        start = 1
-    else:
-        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
-    return [WordK2(m - j, j) for j in range(start, m + 1, 2)]
 
 
 @dataclass(frozen=True)
@@ -538,24 +515,23 @@ def group_words_into_entries(words) -> tuple[DecompositionEntry, ...]:
     by_diagram: dict[Diagram, list] = {}
     for w in words:
         by_diagram.setdefault(w.diagram(), []).append(w)
-    entries = []
-    for diagram in sorted(by_diagram, reverse=True):
-        group = by_diagram[diagram]
-        group.sort(key=lambda w: w.sort_key())
-        entries.append(
-            DecompositionEntry(
-                diagram=diagram, multiplicity=len(group), words=tuple(group)
-            )
-        )
-    return tuple(entries)
+    return tuple(
+        DecompositionEntry(diagram=diagram, multiplicity=len(by_diagram[diagram]),
+                           words=tuple(sorted(by_diagram[diagram])))
+        for diagram in sorted(by_diagram, reverse=True)
+    )
 
 
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
-    """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}."""
+    """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
+
+    For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
+    """
     if k == 3:
         words = enumerate_basis(m, variant)
     elif k == 2:
-        words = enumerate_basis_k2(m, variant)
+        _check_component(m, variant)
+        words = [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
     else:
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k}")
     return DecompositionReport(

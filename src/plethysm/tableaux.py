@@ -74,19 +74,6 @@ class Tableau:
     def shape(self) -> Diagram:
         return tuple(len(r) for r in self.rows)
 
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def content(self, k: int | None = None) -> tuple[int, ...]:
-        """Number of occurrences of each entry 1..k."""
-        if k is None:
-            k = max((e for r in self.rows for e in r), default=0)
-        counts = [0] * k
-        for row in self.rows:
-            for e in row:
-                counts[e - 1] += 1
-        return tuple(counts)
-
     def columns(self) -> list[tuple[int, ...]]:
         ncols = len(self.rows[0]) if self.rows else 0
         return [

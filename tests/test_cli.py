@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plethysm import hwv
+from plethysm import hwv, tableaux, verify
 from plethysm.cli import main
 from plethysm.hwv import decompose
 from plethysm.polynomials import MAX_DEGREE, Polynomial
@@ -122,7 +122,7 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["decompose", "--m", "-1"],
         ["decompose", "--m", "0", "--variant", "alt"],
-        ["decompose", "--m", "2", "--n", "2"],
+        ["decompose", "--m", "2", "--n", "4"],  # --n is only an option of verify
         ["decompose", "--m", "2", "--k", "4"],
         ["hwv", "--m", "2", "--shape", "3,2,1,1"],
         ["hwv", "--m", "2", "--shape", "5,2"],
@@ -250,6 +250,42 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"plethysm: error: cannot write {target}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--m", "12", "--expand", "--format", "json"],
+    ["hwv", "--m", "2", "--shape", "4,2"],
+    ["kostka", "--shape", "2,1", "--content", "1,1,1"],
+    ["verify", "--m", "1"],
+], ids=["decompose", "hwv", "kostka", "verify"])
+def test_unwritable_output_exits_2_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(tableaux, "kostka", no_work)
+    monkeypatch.setattr(verify, "run_verification", no_work)
+    target = tmp_path / "missing" / "out"
+    assert main([*argv, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("plethysm: error: cannot write")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_output_check_creates_and_truncates_nothing(tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("old contents")
+    for target in (kept, fresh):
+        with pytest.raises(SystemExit):  # a usage error after the check
+            main(["decompose", "--m", "-1", "--output", str(target)])
+    assert kept.read_text() == "old contents"
+    assert not fresh.exists()
+    capsys.readouterr()
+    assert main(["kostka", "--shape", "2,1", "--content", "1,1,1",
+                 "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"plethysm: error: cannot write {tmp_path}: Is a directory\n"
 
 
 def _shapes(k, m):

@@ -18,7 +18,6 @@ from plethysm.hwv import (
     decompose,
     delta_minor,
     enumerate_basis,
-    enumerate_basis_k2,
     generators_k2,
     generators_k3,
     multiplicity_closed_form,
@@ -205,17 +204,19 @@ def test_report_text_contains_each_diagram():
         assert diagram in text
 
 
+def _k2_words(m, variant):
+    return [w for entry in decompose(2, m, variant).entries for w in entry.words]
+
+
 def test_k2_words():
     g = generators_k2()
     x = variable
     assert g["alpha"] == x(1, 1) * x(1, 2)
     assert g["gamma"] == delta_minor(1, 2)
-    words = enumerate_basis_k2(3, "sym")
-    assert [(w.i, w.j) for w in words] == [(3, 0), (1, 2)]
-    words = enumerate_basis_k2(3, "alt")
-    assert [(w.i, w.j) for w in words] == [(2, 1), (0, 3)]
+    assert [(w.i, w.j) for w in _k2_words(3, "sym")] == [(3, 0), (1, 2)]
+    assert [(w.i, w.j) for w in _k2_words(3, "alt")] == [(2, 1), (0, 3)]
     with pytest.raises(ValueError):
-        enumerate_basis_k2(0, "alt")
+        decompose(2, 0, "alt")
 
 
 def test_k2_swap_sign_and_weight():
@@ -223,7 +224,7 @@ def test_k2_swap_sign_and_weight():
         for variant in ("sym", "alt"):
             if variant == "alt" and m < 1:
                 continue
-            for word in enumerate_basis_k2(m, variant):
+            for word in _k2_words(m, variant):
                 poly = word.expand()
                 assert poly.column_degree(2) == (m, m)
                 assert poly.row_weight(2) == word.weight()
