@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference
+from rank_reference import _rank_bareiss
 from plethysm import actions, oracle
 from plethysm.hwv import decompose, multiplicity_closed_form
 from plethysm.polynomials import Polynomial
 from plethysm.oracle import (
     InstanceTooLargeError,
-    _rank_bareiss,
     hwv_kernel_multiplicity,
     monomial_exponents,
     multiplicities_by_kostka,
