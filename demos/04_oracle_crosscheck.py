@@ -28,8 +28,8 @@ assert multiplicities_by_kostka(m, n, "alt") == table
 # the honest representation, in orbit coordinates: each orbit sum of monomial
 # triples is named by its column-sorted triple, the adjacent raising operators
 # are read off by moving one unit between rows (no polynomial is built), and
-# the rank is found modulo 2^61 - 1 and proved exact over Q by integer kernel
-# vectors (Bareiss elimination over Z where they do not).
+# the rank comes from sparse fraction-free elimination over Z, exact with no
+# modulus.
 for shape in [(7, 4, 1), (6, 3, 3), (12,)]:
     got = hwv_kernel_multiplicity(m, n, shape, "alt")
     print(f"kernel multiplicity of {shape}:", got)

@@ -17,9 +17,8 @@ Two cross-checks that share no code with the word enumeration:
    matrix is written in orbit coordinates: basis vectors and images are named
    by column-sorted exponent matrices, and its entries are read off by moving
    one unit between adjacent rows, with no polynomial arithmetic.  Its rank
-   is found by sparse elimination modulo the prime 2^61 - 1 and proved exact
-   over Q by integer kernel vectors checked against the original matrix;
-   where that proof fails, fraction-free (Bareiss) elimination over Z decides.
+   is found by sparse fraction-free elimination over Z, which is exact by
+   construction.
 
 Both agree with the closed-form counts and with the explicit word bases; the
 point of this module is that they would not if any of those were wrong.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd
 from operator import add, le, sub
 
 from .actions import permutation_sign
@@ -266,33 +265,18 @@ def _raising_rows(basis: list[tuple], p: int, alt: bool) -> list[list[int]]:
     return rows
 
 
-_PRIME = (1 << 61) - 1
-# |a|, b <= _LIFT_BOUND gives 2·|a|·b < _PRIME, so a/b is the only such
-# fraction congruent to a residue (Wang, Guy & Davenport, SIGSAM Bull. 1982)
-_LIFT_BOUND = isqrt(_PRIME // 2)
-
-
 def rank_of_integer_matrix(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, proved exact.
+    """Rank over Q of an integer matrix, by sparse elimination over Z.
 
-    The rows are eliminated modulo the prime P = 2^61 - 1, which gives the
-    rank r_P and an echelon form.  Two bounds make r_P the rank over Q:
-
-    - r_P <= rank_Q.  Some r_P-by-r_P minor is nonzero mod P; that minor is
-      an integer, so it is nonzero over Z as well.
-    - rank_Q <= r_P.  For each of the ncols - r_P free columns, one nullspace
-      vector mod P is back-substituted, with 1 on its own free column and 0
-      on the others.  Each entry is lifted to a fraction a/b with
-      |a|, b <= isqrt(P // 2) by rational reconstruction, the denominators
-      are cleared, and the integer vector is multiplied by the original rows
-      over Z.  A vector that gives zero lies in the kernel over Q.  The
-      vectors are independent, because each is nonzero on its own free
-      column and zero on the other free columns, so the kernel over Q has
-      dimension at least ncols - r_P.
-
-    When r_P is ncols the second bound is trivial.  When a lift or a product
-    fails, the rank comes from Bareiss elimination over Z instead, so no
-    number is returned that was not proved.
+    Each row r is divided by the gcd of its entries and reduced at its leading
+    column against the pivot row p found there, until it vanishes or leads in
+    a column with no pivot row yet, where it becomes one.  With leading
+    entries a of p and b of r, and g = gcd(a, b) taken with the sign of a, a
+    step replaces r by (a/g)·r - (b/g)·p, which clears that column.  Both
+    operations are invertible over Q given p, so the pivot rows and the rows
+    still to come always span the row space of the input.  The pivot rows
+    lead in distinct columns, so they are independent, and their count is
+    the rank: every operation is exact in Z.
     """
     if not rows:
         return 0
@@ -301,111 +285,32 @@ def rank_of_integer_matrix(rows: list[list[int]]) -> int:
     # the pivot rows sparse
     sparse = sorted(({j: a for j, a in enumerate(row) if a} for row in set(map(tuple, rows))),
                     key=len)
-    pivots = _echelon_mod_p(sparse, ncols)
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vector = _kernel_vector(pivots, free, ncols)
-        if vector is None or any(
-                sum(a * vector[j] for j, a in row.items()) for row in sparse):
-            return _rank_bareiss(rows)
-    return len(pivots)
-
-
-def _echelon_mod_p(sparse: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
-    """Pivot rows mod P, keyed by pivot column.
-
-    Each row is reduced at its leading column against the pivot found there
-    until it vanishes or leads with a new pivot column.  A pivot row is
-    scaled to 1 on its pivot column and has no entry to the left of it.
-    """
+    # primitive pivot rows, by leading column
     pivots: dict[int, dict[int, int]] = {}
-    for row in sparse:
-        r = {j: a % _PRIME for j, a in row.items() if a % _PRIME}
+    for r in sparse:
         while r:
+            content = gcd(*r.values())
+            if content != 1:
+                r = {j: a // content for j, a in r.items()}
             col = min(r)
             pivot = pivots.get(col)
             if pivot is None:
-                inverse = pow(r[col], -1, _PRIME)
-                pivots[col] = {j: a * inverse % _PRIME for j, a in r.items()}
+                pivots[col] = r
                 break
-            factor = r[col]
+            lead = pivot[col]
+            g = gcd(lead, r[col]) if lead > 0 else -gcd(lead, r[col])
+            scale, factor = lead // g, r[col] // g
+            if scale != 1:
+                r = {j: scale * a for j, a in r.items()}
             for j, a in pivot.items():
-                a = (r.get(j, 0) - factor * a) % _PRIME
+                a = r.get(j, 0) - factor * a
                 if a:
                     r[j] = a
                 else:
                     del r[j]
         if len(pivots) == ncols:
             break
-    return pivots
-
-
-def _kernel_vector(pivots: dict[int, dict[int, int]], free: int,
-                   ncols: int) -> list[int] | None:
-    """The integer lift of the nullspace vector mod P that is 1 at `free`.
-
-    Entries at the other free columns are 0; each pivot entry is solved from
-    its pivot row, right to left.  Returns None when an entry has no
-    fraction within the reconstruction bound.
-    """
-    residues = [0] * ncols
-    residues[free] = 1
-    for col in sorted(pivots, reverse=True):
-        residues[col] = -sum(a * residues[j] for j, a in pivots[col].items()) % _PRIME
-    fractions = []
-    for x in residues:
-        lifted = _rational_lift(x)
-        if lifted is None:
-            return None
-        fractions.append(lifted)
-    common = lcm(*(b for _, b in fractions))
-    return [a * (common // b) for a, b in fractions]
-
-
-def _rational_lift(x: int) -> tuple[int, int] | None:
-    """(a, b) with a ≡ b·x mod P, |a| <= _LIFT_BOUND and 0 < b <= _LIFT_BOUND.
-
-    The extended Euclidean algorithm on (P, x), stopped at the first
-    remainder within the bound; None when the cofactor then exceeds it.
-    """
-    r0, r1, t0, t1 = _PRIME, x, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    return (r1, t1) if t1 <= _LIFT_BOUND else None
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pivot = mat[r][col]
-        for i in range(r + 1, nrows):
-            factor = mat[i][col]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(col + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[col] = 0
-        prev = pivot
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    return len(pivots)
 
 
 def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
@@ -431,11 +336,7 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         max_dim = default_max_dim()
     weight = pad(shape, n)
     basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
-    if not basis:
-        return 0
     rows = [row for p in range(n - 1) for row in _raising_rows(basis, p, variant == "alt")]
-    if not rows:
-        return len(basis)
     return len(basis) - rank_of_integer_matrix(rows)
 
 

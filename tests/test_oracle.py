@@ -228,6 +228,9 @@ def test_kernel_env_override(monkeypatch):
     assert hwv_kernel_multiplicity(3, 3, (4, 4, 1), "sym") == 1
 
 
+PRIME = 2**61 - 1
+
+
 def test_rank_of_integer_matrix():
     assert rank_of_integer_matrix([]) == 0
     assert rank_of_integer_matrix([[0, 0], [0, 0]]) == 0
@@ -237,9 +240,14 @@ def test_rank_of_integer_matrix():
     # needs exact arithmetic: a float elimination would drift here
     big = 10 ** 30
     assert rank_of_integer_matrix([[big, 1], [big, 1]]) == 1
+    # a multiple of 2^61 - 1, a kernel vector with a large entry, and two
+    # matrices with a nontrivial kernel
+    assert rank_of_integer_matrix([[PRIME, 0], [0, 1]]) == 2
+    assert rank_of_integer_matrix([[1, -(2**40)]]) == 1
+    assert rank_of_integer_matrix([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank_of_integer_matrix([[3, 0, 6], [0, 7, 14]]) == 2
 
 
-PRIME = 2**61 - 1
 entries = st.one_of(
     st.just(0),
     st.integers(-3, 3),
@@ -273,26 +281,6 @@ def test_rank_matches_bareiss(rows):
     assert rank_of_integer_matrix(rows) == _rank_bareiss(rows)
 
 
-def test_rank_falls_back_to_bareiss_when_the_certificate_fails(monkeypatch):
-    calls = []
-
-    def spy(rows):
-        calls.append(rows)
-        return _rank_bareiss(rows)
-
-    monkeypatch.setattr(oracle, "_rank_bareiss", spy)
-    # rank 1 mod P: the lifted kernel vector (1, 0) is not a kernel vector over Z
-    assert rank_of_integer_matrix([[PRIME, 0], [0, 1]]) == 2
-    assert len(calls) == 1
-    # the only kernel vector, (2^40, 1), lies past the reconstruction bound
-    assert rank_of_integer_matrix([[1, -(2**40)]]) == 1
-    assert len(calls) == 2
-    # a certified rank never reaches the fallback
-    assert rank_of_integer_matrix([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank_of_integer_matrix([[3, 0, 6], [0, 7, 14]]) == 2
-    assert len(calls) == 2
-
-
 def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
     built = []
     rank = oracle.rank_of_integer_matrix
@@ -301,11 +289,7 @@ def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
         built.append(rows)
         return rank(rows)
 
-    def no_fallback(rows):
-        raise AssertionError("an oracle matrix needed the Bareiss fallback")
-
     monkeypatch.setattr(oracle, "rank_of_integer_matrix", record)
-    monkeypatch.setattr(oracle, "_rank_bareiss", no_fallback)
     for m in range(0, 5):
         for variant in ("sym", "alt"):
             for shape in _partitions(3 * m, 3):
@@ -322,6 +306,19 @@ def test_kernel_oracle_matches_closed_form_m4_to_m8():
             for shape in _partitions(3 * m, 3):
                 assert hwv_kernel_multiplicity(m, 3, shape, variant) == (
                     multiplicity_closed_form(shape, variant))
+
+
+def test_kernel_oracle_matches_closed_form_on_four_rows():
+    # the largest matrices built here (up to 1004 x 371), so growth in the
+    # rank's entries would show as time
+    cases = 0
+    for m in range(0, 7):
+        for variant in ("sym", "alt"):
+            for shape in _partitions(3 * m, 4):
+                want = multiplicity_closed_form(shape, variant) if len(shape) <= 3 else 0
+                assert hwv_kernel_multiplicity(m, 4, shape, variant) == want, (m, shape)
+                cases += 1
+    assert cases == 406
 
 
 KERNEL_REFERENCE_CASES = [(m, 2) for m in range(0, 7)] + [(m, 3) for m in range(0, 6)] + [
