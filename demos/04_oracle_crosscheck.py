@@ -25,11 +25,11 @@ print("alt m=4 table:", table)
 assert multiplicities_by_kostka(m, n, "alt") == table
 
 # Kernel-level oracle on the interesting shapes.  This one works inside
-# the honest representation, in orbit coordinates: each orbit sum of monomial
-# triples is named by its column-sorted triple, the adjacent raising operators
-# are read off by moving one unit between rows (no polynomial is built), and
-# the rank comes from sparse fraction-free elimination over Z, exact with no
-# modulus.
+# the honest representation, in orbit coordinates: each orbit of monomial
+# triples is named by its column-sorted triple, all adjacent raising operators
+# are read off in one forward pass that moves one unit between rows and sorts
+# the result (no polynomial is built), and the rank comes from sparse
+# fraction-free elimination over Z, exact with no modulus.
 for shape in [(7, 4, 1), (6, 3, 3), (12,)]:
     got = hwv_kernel_multiplicity(m, n, shape, "alt")
     print(f"kernel multiplicity of {shape}:", got)

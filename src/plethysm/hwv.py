@@ -522,10 +522,12 @@ def group_words_into_entries(words) -> tuple[DecompositionEntry, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
 
     For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
+    Reports are immutable, so each (k, m, variant) is built once and shared.
     """
     if k == 3:
         words = enumerate_basis(m, variant)

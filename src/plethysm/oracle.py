@@ -14,11 +14,11 @@ Two cross-checks that share no code with the word enumeration:
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
    weight-D subspace of the invariant (or sign) isotypic component.  The
-   matrix is written in orbit coordinates: basis vectors and images are named
-   by column-sorted exponent matrices, and its entries are read off by moving
-   one unit between adjacent rows, with no polynomial arithmetic.  Its rank
-   is found by sparse fraction-free elimination over Z, which is exact by
-   construction.
+   matrix is written in orbit coordinates: a column-sorted exponent matrix R
+   names v_R = Σ_σ (sgn σ)·σ·x^R, a nonzero multiple of its orbit sum, and
+   the entries are read off in one forward pass over the basis by moving one
+   unit between adjacent rows, with no polynomial arithmetic.  Its rank is
+   found by sparse fraction-free elimination over Z, exact by construction.
 
 Both agree with the closed-form counts and with the explicit word bases; the
 point of this module is that they would not if any of those were wrong.
@@ -208,12 +208,11 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     """Orbit representatives naming a basis of the invariant or sign part of
     one weight space.
 
-    Column permutations act on exponent matrices; invariants get one plain
-    orbit sum per orbit, while the sign component only sees free orbits (any
-    repeated column forces a stabilizer containing a transposition, which
-    kills the signed sum).  A basis vector is named by its orbit's sorted
-    matrix and never built.  InstanceTooLargeError is raised once more than
-    max_dim orbits are found.
+    Column permutations σ act on exponent matrices.  A sorted matrix R names
+    v_R = Σ_σ (sgn σ)·σ·x^R (sgn σ = 1 for sym), which is |Stab R| times the
+    orbit sum and is never built.  The sign component only sees free orbits:
+    a repeated column puts a transposition in the stabilizer, so v_R = 0.
+    InstanceTooLargeError is raised once more than max_dim orbits are found.
     """
     reps: list[tuple] = []
     for rep in _exponent_matrices(m, n, weight):
@@ -226,43 +225,38 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     return reps
 
 
-def _raising_rows(basis: list[tuple], p: int, alt: bool) -> list[list[int]]:
-    """The matrix of E_p, which moves a unit from row p + 1 to row p (0-based),
-    on the orbit sums named by `basis`: one row per target.
+def _raising_rows(basis: list[tuple], alt: bool) -> list[list[int]]:
+    """The stacked matrix of every E_p, which moves a unit from row p + 1 to
+    row p (0-based), on the v_R named by `basis`: one row per target.
 
-    E_p commutes with column permutations, so an image is fixed by its
-    coefficients at column-sorted matrices T (with distinct columns for alt).
-    The coefficient of x^T in E_p(v_R) sums, over each column j with
-    T[j][p] > 0, the preimage N that moves the unit back, times N[j][p + 1]
-    and times N's coefficient in v_R: 1, or for alt the sign of the
-    permutation that sorts N into R.
+    E_p commutes with column permutations, so E_p(v_R) = Σ_j R[j][p+1]·v_N,
+    where N moves one unit of column j of R up from row p + 1.  With T the
+    sorted N, v_N = v_T for sym; for alt v_N = ±v_T by the sign of the sort,
+    or 0 if N repeats a column.  Targets of different p differ in weight, so
+    one dict holds them all.  On plain orbit sums the matrix differs by the
+    nonzero stabilizer orders on both sides, so rank and kernel agree.
     """
-    up = p + 1
-    targets: dict[tuple, None] = {}
-    for rep in basis:
+    rows: dict[tuple, list[int]] = {}
+    for i, rep in enumerate(basis):
         for j, col in enumerate(rep):
-            if col[up]:
+            for p in range(len(col) - 1):
+                count = col[p + 1]
+                if not count:
+                    continue
                 moved = list(rep)
-                moved[j] = col[:p] + (col[p] + 1, col[up] - 1) + col[up + 1:]
-                target = tuple(sorted(moved, reverse=True))
-                if not (alt and (target[0] == target[1] or target[1] == target[2])):
-                    targets[target] = None
-    position = {rep: i for i, rep in enumerate(basis)}
-    rows = []
-    for target in targets:
-        row = [0] * len(basis)
-        for j, col in enumerate(target):
-            if col[p]:
-                preimage = list(target)
-                preimage[j] = col[:p] + (col[p] - 1, col[up] + 1) + col[up + 1:]
-                a, b, c = preimage
-                i = position.get(tuple(sorted(preimage, reverse=True)))
-                if i is not None:
+                moved[j] = col[:p] + (col[p] + 1, count - 1) + col[p + 2:]
+                if alt:
+                    a, b, c = moved
+                    if a == b or a == c or b == c:
+                        continue
                     # for distinct columns, the sign of the sort is (-1)^inversions
-                    sign = -1 if alt and ((a < b) + (a < c) + (b < c)) % 2 else 1
-                    row[i] += sign * (col[up] + 1)
-        rows.append(row)
-    return rows
+                    count *= (-1) ** ((a < b) + (a < c) + (b < c))
+                target = tuple(sorted(moved, reverse=True))
+                row = rows.get(target)
+                if row is None:
+                    row = rows[target] = [0] * len(basis)
+                row[i] += count
+    return list(rows.values())
 
 
 def rank_of_integer_matrix(rows: list[list[int]]) -> int:
@@ -336,8 +330,7 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         max_dim = default_max_dim()
     weight = pad(shape, n)
     basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
-    rows = [row for p in range(n - 1) for row in _raising_rows(basis, p, variant == "alt")]
-    return len(basis) - rank_of_integer_matrix(rows)
+    return len(basis) - rank_of_integer_matrix(_raising_rows(basis, variant == "alt"))
 
 
 def weyl_dimension(shape, n: int) -> int:

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
 import word_reference
+from plethysm import hwv, verify
 from plethysm.actions import (
     is_sign_equivariant,
     is_sk_invariant,
@@ -183,6 +185,26 @@ def test_decompose_m6_sym_has_one_double():
     assert report.total_multiplicity() == 20
     assert len(report.entries) == 19
     assert report.multiplicities()[(12, 6)] == 2
+
+
+def test_run_verification_builds_each_decomposition_once(monkeypatch):
+    # every k = 3 decomposition goes through enumerate_basis; the leading
+    # monomial check calls it directly as well, so twice is the most allowed
+    calls = Counter()
+    enumerate_words = hwv.enumerate_basis
+
+    def counting(m, variant):
+        calls[m, variant] += 1
+        return enumerate_words(m, variant)
+
+    monkeypatch.setattr(hwv, "enumerate_basis", counting)
+    hwv.decompose.cache_clear()
+    try:
+        results = verify.run_verification(m_max=6)
+    finally:
+        hwv.decompose.cache_clear()
+    assert all(r.passed for r in results)
+    assert calls[6, "alt"] and max(calls.values()) <= 2
 
 
 def test_decompose_rejects_unknown_k():

@@ -203,6 +203,28 @@ def test_kernel_size_guard_fires_before_any_row_is_built(monkeypatch):
             oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=dim - 1)
 
 
+def test_raising_rows_on_hand_worked_bases():
+    # Column vectors are (row 0, row 1, ...); v_R = Σ_σ (sgn σ)·σ·x^R.
+    # sym, m = 1, n = 2, weight (2, 1): R = ((1,0),(1,0),(0,1)).  Only column
+    # 2 can move up, R[2][1] = 1, onto T = ((1,0),(1,0),(1,0)), so E_0 v_R =
+    # 1·v_T.  On plain orbit sums the entry was 3: the three monomials of R's
+    # orbit each map onto x^T, whose orbit sum is x^T alone.
+    assert oracle._raising_rows([((1, 0), (1, 0), (0, 1))], False) == [[1]]
+    # sym, weight (0, 3): all three columns of R = ((0,1),(0,1),(0,1)) move
+    # onto T = ((1,0),(0,1),(0,1)), so E_0 v_R = 3·v_T (orbit sums gave 1).
+    assert oracle._raising_rows([((0, 1), (0, 1), (0, 1))], False) == [[3]]
+    # alt, m = 2, n = 3, R = ((2,0,0),(0,2,0),(0,1,1)).  Moves:
+    #   column 1, p = 0, R[1][1] = 2: ((2,0,0),(1,1,0),(0,1,1)), sorted, +2;
+    #   column 2, p = 0, R[2][1] = 1: ((2,0,0),(0,2,0),(1,0,1)), which one
+    #     transposition sorts into ((2,0,0),(1,0,1),(0,2,0)), so -1;
+    #   column 2, p = 1, R[2][2] = 1: ((2,0,0),(0,2,0),(0,2,0)) repeats a
+    #     column, so v_N = 0 and no row.
+    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], True) == [[2], [-1]]
+    # the same basis for sym keeps the repeated-column target and no sign
+    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], False) == [
+        [2], [1], [1]]
+
+
 def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
     # against every ordered column triple, sorted and deduplicated
     yields = 0
