@@ -17,6 +17,15 @@ Exit codes:
 * 3: instance too large (a kernel computation exceeds the size bound).
 
 Codes 2 and 3 come with a one-line message on stderr.
+
+Output is written piece by piece as it is produced; with ``--expand`` that
+is one word's polynomial at a time, so the whole document is never held in
+memory.  Two consequences:
+
+* A reader that closes stdout early (``| head``) stops the run, with exit 0
+  and nothing on stderr.
+* A write that fails partway (a full disk) exits 2 as above, but the part
+  already written stays behind in the ``--output`` file.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import errno
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import hwv, oracle, polynomials, tableaux, verify
 
@@ -101,15 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the pieces in order as they come, to ``output`` or to stdout."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:  # exit 2 like any usage error, not 1 or a traceback
             raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _check_output(output: str) -> None:
@@ -145,10 +156,17 @@ def cmd_decompose(parser: argparse.ArgumentParser, args) -> int:
     _validate_common(parser, args)
     report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
-        _emit(report.to_json_text(expand=args.expand), args.output)
+        _emit(report.json_chunks(expand=args.expand), args.output)
     else:
-        _emit(report.to_text(expand=args.expand) + "\n", args.output)
+        _emit(report.text_lines(expand=args.expand), args.output)
     return 0
+
+
+def _hwv_lines(words, expand: bool) -> Iterator[str]:
+    for word in words:
+        yield f"{word}  grade={word.grade()}  weight=({','.join(map(str, word.weight()))})\n"
+        if expand:
+            yield f"  = {word.expand()}\n"
 
 
 def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
@@ -160,21 +178,15 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"|shape| must equal k*m = {args.k * args.m}")
     report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
-        _emit(report.to_json_text(expand=args.expand, shape=shape), args.output)
+        _emit(report.json_chunks(expand=args.expand, shape=shape), args.output)
     else:
-        lines = []
-        for word in report.words_of(shape):
-            lines.append(f"{word}  grade={word.grade()}  "
-                         f"weight=({','.join(map(str, word.weight()))})")
-            if args.expand:
-                lines.append(f"  = {word.expand()}")
-        _emit("".join(line + "\n" for line in lines), args.output)
+        _emit(_hwv_lines(report.words_of(shape), args.expand), args.output)
     return 0
 
 
 def cmd_kostka(parser: argparse.ArgumentParser, args) -> int:
     value = tableaux.kostka(args.shape, args.content)
-    _emit(f"{value}\n", args.output)
+    _emit((f"{value}\n",), args.output)
     return 0
 
 
@@ -199,13 +211,13 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
                 for r in results
             ],
         }
-        _emit(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", args.output)
+        _emit((json.dumps(obj, indent=2, ensure_ascii=False) + "\n",), args.output)
     else:
         lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results
         ]
-        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        _emit("".join(line + "\n" for line in lines), args.output)
+        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed\n")
+        _emit(lines, args.output)
     return 0 if ok else 1
 
 
@@ -228,6 +240,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"plethysm: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout stopped early, as `| head` does.  What it read
+        # is all it wanted, so this is a success; stdout goes to devnull so
+        # that the interpreter's last flush fails silently too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import Iterator
 
 from .polynomials import Polynomial, variable
 from .tableaux import Diagram, normalize_partition, pad
@@ -413,6 +414,10 @@ class DecompositionReport:
     def multiplicities(self) -> dict[Diagram, int]:
         return {entry.diagram: entry.multiplicity for entry in self.entries}
 
+    def words(self) -> list:
+        """Every word of the report, entry by entry."""
+        return [w for entry in self.entries for w in entry.words]
+
     def words_of(self, diagram: Diagram) -> tuple:
         """The words of the constituent with this diagram; () if it has none."""
         return next((e.words for e in self.entries if e.diagram == diagram), ())
@@ -425,18 +430,20 @@ class DecompositionReport:
         return f"{outer}(S^{self.m}(C^n))"
 
     def to_text(self, expand: bool = False) -> str:
-        lines = [f"{self.component_name()}  [k={self.k}, m={self.m}, {self.variant}]"]
+        return "".join(self.text_lines(expand))[:-1]  # no final newline
+
+    def text_lines(self, expand: bool = False) -> Iterator[str]:
+        """The lines of ``to_text``, each with its newline; with ``expand`` a
+        word's polynomial is built only when its line is reached."""
+        yield f"{self.component_name()}  [k={self.k}, m={self.m}, {self.variant}]\n"
         width = max((len(_diagram_str(e.diagram)) for e in self.entries), default=4)
         for entry in self.entries:
             words = ", ".join(str(w) for w in entry.words)
-            lines.append(
-                f"  {_diagram_str(entry.diagram):<{width}}  x{entry.multiplicity}  {words}"
-            )
+            yield f"  {_diagram_str(entry.diagram):<{width}}  x{entry.multiplicity}  {words}\n"
             if expand:
                 for w in entry.words:
-                    lines.append(f"      {w} = {w.expand()}")
-        lines.append(f"total multiplicity {self.total_multiplicity()}")
-        return "\n".join(lines)
+                    yield f"      {w} = {w.expand()}\n"
+        yield f"total multiplicity {self.total_multiplicity()}\n"
 
     def to_json_obj(self) -> dict:
         return self._json_obj(expand=False)
@@ -457,15 +464,21 @@ class DecompositionReport:
         }
 
     def to_json_text(self, expand: bool = False, shape: Diagram | None = None) -> str:
-        """The report as JSON with ``indent=2``, and a final newline.
+        return "".join(self.json_chunks(expand, shape))
+
+    def json_chunks(self, expand: bool = False,
+                    shape: Diagram | None = None) -> Iterator[str]:
+        """The report as JSON with ``indent=2``, and a final newline, in pieces.
 
         With ``expand`` each word object gains a ``"polynomial"`` key, whose
-        value ``Polynomial.to_json_text`` writes; only the rest goes through
-        ``json.dumps``.  With ``shape`` only that diagram's words are written,
-        in the ``{"k", "m", "variant", "shape", "words"}`` layout of ``hwv``.
+        value ``Polynomial.to_json_text`` writes as one piece; a word is
+        expanded only when its piece is reached, so one polynomial exists at a
+        time.  The rest goes through ``json.dumps``.  With ``shape`` only that
+        diagram's words are written, in the ``{"k", "m", "variant", "shape",
+        "words"}`` layout of ``hwv``.
         """
         if shape is None:
-            words = [w for entry in self.entries for w in entry.words]
+            words = self.words()
             obj = self._json_obj(expand)
             level = 10  # indent of a word's keys under "entries"
         else:
@@ -473,12 +486,12 @@ class DecompositionReport:
             obj = {"k": self.k, "m": self.m, "variant": self.variant,
                    "shape": list(shape), "words": _word_json_objs(words, expand)}
             level = 6  # indent of a word's keys under "words"
-        pieces = json.dumps(obj, indent=2, ensure_ascii=False).split(_POLYNOMIAL_SLOT_TEXT)
-        out = [pieces[0]]
-        for word, piece in zip(words, pieces[1:]):  # the slots are in word order
-            out += (word.expand().to_json_text(level), piece)
-        out.append("\n")
-        return "".join(out)
+        text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+        pieces = iter(text.split(_POLYNOMIAL_SLOT_TEXT))
+        yield next(pieces)
+        for word, piece in zip(words, pieces):  # the slots are in word order
+            yield word.expand().to_json_text(level)
+            yield piece
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionReport":

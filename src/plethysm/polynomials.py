@@ -446,18 +446,22 @@ class Polynomial:
         the keys without building the list of dicts.
 
         ``level`` is the indent of the line that holds the polynomial, so the
-        text can be spliced into a larger ``indent=2`` document.
+        text can be spliced into a larger ``indent=2`` document.  A term's
+        ``"exps"`` text is one looked-up piece per column that it touches.
         """
         terms = self._terms
         if not terms:
             return "[]"
-        pad, triples = _json_layout(level)
+        pad, columns = _json_layout(level)
         exps_sep = "," + pad + "      "
-        exps = "[" + pad + "      {}" + pad + "    ]"
+        exps_open = '",' + pad + '    "exps": [' + pad + "      "
+        exps_close = pad + "    ]"
+        no_exps = '",' + pad + '    "exps": []'
         bodies = [
-            str(terms[key]) + '",' + pad + '    "exps": '
-            + (exps.format(exps_sep.join([t[e] for t, e in zip(triples, _fields(key)) if e]))
-               if key else "[]")
+            str(terms[key])
+            + (exps_open + exps_sep.join([texts[group] for shift, texts in columns
+                                          if (group := key >> shift & _COLUMN_MASK)])
+               + exps_close if key else no_exps)
             for key in sorted(terms, reverse=True)
         ]
         open_term = pad + "  {" + pad + '    "coeff": "'
@@ -472,16 +476,36 @@ class Polynomial:
         ))
 
 
+_COLUMN_BITS = FIELD_BITS * MAX_ROW  # the fields of one column, row 1 highest
+_COLUMN_MASK = (1 << _COLUMN_BITS) - 1
+
+
+class _ColumnTexts(dict):
+    """For one column: its field group -> the text of that group's nonzero
+    ``[row, col, exp]`` triples, as ``Polynomial.to_json_text`` writes them;
+    an entry is built on its first lookup."""
+
+    def __init__(self, col: int, pad: str):
+        super().__init__()
+        self.col, self.pad = col, pad
+
+    def __missing__(self, group: int) -> str:
+        col, pad = self.col, self.pad
+        text = self[group] = ("," + pad + "      ").join(
+            f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"
+            for row, e in enumerate(group.to_bytes(MAX_ROW, "big"), 1) if e
+        )
+        return text
+
+
 @lru_cache(maxsize=None)
-def _json_layout(level: int) -> tuple[str, tuple[list[str], ...]]:
-    """The line break for ``level`` and, per variable, the text of its
-    ``[row, col, exp]`` triple for every exponent, as ``Polynomial.to_json_text``
-    writes them; built on the first use of a level."""
+def _json_layout(level: int) -> tuple[str, tuple[tuple[int, _ColumnTexts], ...]]:
+    """The line break for ``level`` and, per column in chain order, the shift
+    of its field group and its ``_ColumnTexts``."""
     pad = "\n" + " " * level
     return pad, tuple(
-        [f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"
-         for e in range(MAX_DEGREE + 1)]
-        for row, col in _VARS
+        (_COLUMN_BITS * (MAX_COL - col), _ColumnTexts(col, pad))
+        for col in range(1, MAX_COL + 1)
     )
 
 

@@ -135,7 +135,7 @@ def check_word_leading_monomials(max_grade: int) -> CheckResult:
     count = 0
     problems = []
     for m, variant in _components(0, max_grade):
-        for word in hwv.enumerate_basis(m, variant):
+        for word in hwv.decompose(3, m, variant).words():
             count += 1
             poly = word.expand()
             if poly.is_zero:
@@ -353,16 +353,15 @@ def check_k2(m_max: int = 10) -> CheckResult:
             problems.append(f"m={m} {variant}: diagrams")
         if any(mult != 1 for mult in report.multiplicities().values()):
             problems.append(f"m={m} {variant}: multiplicity")
-        for entry in report.entries:
-            for word in entry.words:
-                poly = word.expand()
-                if not actions.is_un_invariant(poly, 2):
-                    problems.append(f"{word} not highest weight")
-                swapped = actions.permute_columns(
-                    poly, actions.transposition(2, 1, 2))
-                expected = poly if word.j % 2 == 0 else -poly
-                if swapped != expected:
-                    problems.append(f"{word} has wrong swap sign")
+        for word in report.words():
+            poly = word.expand()
+            if not actions.is_un_invariant(poly, 2):
+                problems.append(f"{word} not highest weight")
+            swapped = actions.permute_columns(
+                poly, actions.transposition(2, 1, 2))
+            expected = poly if word.j % 2 == 0 else -poly
+            if swapped != expected:
+                problems.append(f"{word} has wrong swap sign")
     return CheckResult(
         "pair-case-complete",
         not problems,

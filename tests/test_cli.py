@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,3 +332,33 @@ def test_expand_json_sends_no_polynomial_through_the_encoder(monkeypatch, capsys
         code, out = run(capsys, *argv, "--expand", "--format", "json")
         assert code == 0
         assert '"polynomial": [' in out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_that_fails_partway_exits_2(capsys):
+    assert main(["decompose", "--m", "6", "--expand", "--format", "json",
+                 "--output", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "plethysm: error: cannot write /dev/full: No space left on device\n"
+
+
+def test_reader_that_closes_stdout_early_is_a_success():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plethysm", "decompose", "--m", "10", "--expand",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stderr.close()
+    assert head == b'{\n  "k": 3,\n  "m": 1'
+    assert code == 0
+    assert err == b""

@@ -188,8 +188,8 @@ def test_decompose_m6_sym_has_one_double():
 
 
 def test_run_verification_builds_each_decomposition_once(monkeypatch):
-    # every k = 3 decomposition goes through enumerate_basis; the leading
-    # monomial check calls it directly as well, so twice is the most allowed
+    # every k = 3 decomposition goes through enumerate_basis, and every check
+    # reads the cached report, so each (m, variant) is enumerated exactly once
     calls = Counter()
     enumerate_words = hwv.enumerate_basis
 
@@ -204,7 +204,7 @@ def test_run_verification_builds_each_decomposition_once(monkeypatch):
     finally:
         hwv.decompose.cache_clear()
     assert all(r.passed for r in results)
-    assert calls[6, "alt"] and max(calls.values()) <= 2
+    assert calls[6, "alt"] and set(calls.values()) == {1}
 
 
 def test_decompose_rejects_unknown_k():
@@ -310,3 +310,27 @@ def test_report_reads_back_an_expanded_json_document(k, m, variant):
     obj = json.loads(report.to_json_text(expand=True))
     assert all("polynomial" in w for e in obj["entries"] for w in e["words"])
     assert DecompositionReport.from_json_obj(obj) == report
+
+
+def test_json_chunks_expand_one_word_at_a_time(monkeypatch):
+    calls = Counter()
+    expand = GeneratorWord.expand
+
+    def counting(self):
+        calls[self] += 1
+        return expand(self)
+
+    monkeypatch.setattr(GeneratorWord, "expand", counting)
+    chunks = decompose(3, 6, "sym").json_chunks(expand=True)
+    head, first_polynomial = next(chunks), next(chunks)
+    assert head.endswith('"polynomial": ')
+    assert first_polynomial.startswith("[")
+    assert sum(calls.values()) <= 1
+
+
+@pytest.mark.parametrize("expand", [False, True])
+def test_text_is_the_joined_lines(expand):
+    report = decompose(3, 3, "alt")
+    lines = list(report.text_lines(expand))
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert report.to_text(expand) + "\n" == "".join(lines)
