@@ -1,6 +1,9 @@
 import itertools
 
+import kostka_reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plethysm.actions import is_un_invariant
 from plethysm.polynomials import Monomial, variable
@@ -74,6 +77,29 @@ def test_enumerate_sst_counts_match_kostka():
             if sum(content) != total:
                 continue
             assert len(enumerate_sst(shape, content)) == kostka(shape, content)
+
+
+@st.composite
+def shapes_and_contents(draw):
+    """Shapes and contents of up to 5 parts, zeros allowed, of any length.
+
+    Half the contents are compositions of the shape's size, so the Kostka
+    number is often nonzero; the rest have unrelated sizes.
+    """
+    shape = sorted(draw(st.lists(st.integers(0, 6), max_size=5)), reverse=True)
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, sum(shape)), max_size=4)))
+        content = [b - a for a, b in zip([0] + cuts, cuts + [sum(shape)])]
+    else:
+        content = draw(st.lists(st.integers(0, 6), max_size=5))
+    return tuple(shape), tuple(content)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes_and_contents())
+def test_kostka_matches_the_backward_peel(case):
+    shape, content = case
+    assert kostka(shape, content) == kostka_reference.kostka(shape, content)
 
 
 def test_kostka_values():
