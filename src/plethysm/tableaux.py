@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 
 from .actions import permutation_sign
 from .polynomials import Monomial, Polynomial, variable
@@ -113,8 +114,6 @@ def enumerate_sst(shape, content) -> list[Tableau]:
     k = len(content)
     if sum(shape) != sum(content):
         return []
-    if not shape:
-        return [Tableau(())] if sum(content) == 0 else []
     if len(shape) > k:
         return []
 
@@ -122,84 +121,83 @@ def enumerate_sst(shape, content) -> list[Tableau]:
     grid = [[0] * width for width in shape]
     remaining = list(content)
     out: list[Tableau] = []
-
-    def fill(idx: int) -> None:
+    # depth first without recursion: cells[:idx] are filled, and every cell
+    # keeps the entry it tried last (0 for none), so the grid is the stack
+    idx = 0
+    while idx >= 0:
         if idx == len(cells):
             out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
+            idx -= 1
+            continue
         i, j = cells[idx]
-        lo = 1
-        if j:
-            lo = max(lo, grid[i][j - 1])
-        if i:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, k + 1):
-            if not remaining[v - 1]:
-                continue
-            grid[i][j] = v
-            remaining[v - 1] -= 1
-            fill(idx + 1)
+        v = grid[i][j]
+        if v:
             remaining[v - 1] += 1
-            grid[i][j] = 0
-
-    fill(0)
+        v = max(v + 1, grid[i][j - 1] if j else 1, grid[i - 1][j] + 1 if i else 1)
+        while v <= k and not remaining[v - 1]:
+            v += 1
+        if v <= k:
+            remaining[v - 1] -= 1
+            # no later cell takes an entry below `floor`: the rest of this row
+            # needs v or more, the rows below more than its first entry; an
+            # entry left under `floor` is a dead end, and so is every larger v
+            floor = min(v if j + 1 < shape[i] else k + 1,
+                        (grid[i][0] if j else v) + 1 if i + 1 < len(shape) else k + 1)
+            if not any(remaining[:floor - 1]):
+                grid[i][j] = v
+                idx += 1
+                continue
+            remaining[v - 1] += 1
+        grid[i][j] = 0
+        idx -= 1
     return out
 
 
 @lru_cache(maxsize=None)
-def _kostka(shape: Diagram, content: tuple[int, ...]) -> int:
-    if sum(shape) != sum(content):
-        return 0
-    counts = Counter({shape: 1})
-    for size in reversed(content):
-        peeled: Counter[Diagram] = Counter()
-        for outer, count in counts.items():
-            for inner in _strip_removals(outer, size):
-                peeled[inner] += count
-        counts = peeled
-    return counts[()]
+def kostka_within(outer: Diagram, content: tuple[int, ...]) -> MappingProxyType[Diagram, int]:
+    """K(λ, content) for every diagram λ inside `outer` that has a tableau.
 
-
-@lru_cache(maxsize=None)
-def _strip_removals(shape: Diagram, size: int) -> tuple[Diagram, ...]:
-    """Shapes obtained by removing a horizontal strip of the given size.
-
-    Row i can lose at most its overhang shape[i] - shape[i+1], and the
-    choices are otherwise independent, so a strip is a way of spreading
-    `size` cells over the rows that overhang.
+    By the Pieri rule h_r·s_μ is the sum of s_λ over the λ that add a
+    horizontal strip of r cells to μ, so h_content = Σ_λ K(λ, content)·s_λ
+    is built one letter at a time (Macdonald I.5.16 and I.6): from the empty
+    diagram, letter t adds a strip of content[t-1] cells, counting the ways
+    to reach each diagram and keeping those inside `outer`.  There is no
+    recursion, so the content may be arbitrarily long.  The table is cached.
     """
-    overhangs = [(i, hi - lo) for i, (hi, lo) in enumerate(zip(shape, shape[1:] + (0,)))
-                 if hi > lo]
-    room = sum(over for _, over in overhangs)
-    # (cells taken per overhanging row so far, cells still to take)
-    partial: list[tuple[tuple[tuple[int, int], ...], int]] = [((), size)]
-    for i, over in overhangs:
-        room -= over
-        partial = [
-            (taken + ((i, t),), left - t)
-            for taken, left in partial
-            for t in range(max(0, left - room), min(over, left) + 1)
-        ]
-    out: list[Diagram] = []
-    for taken, left in partial:
-        if left:
-            continue
-        rows = list(shape)
-        for i, t in taken:
-            rows[i] -= t
-        out.append(normalize_partition(rows))
-    return tuple(out)
+    if any(c < 0 for c in content):
+        raise ValueError(f"negative content {content}")
+    counts: Counter[Diagram] = Counter({(): 1})
+    for size in content:
+        grown: Counter[Diagram] = Counter()
+        for inner, count in counts.items():
+            rows = inner + (0,) * (len(inner) < len(outer))
+            # in a strip row i grows to at most inner[i-1], and it stays in outer
+            free = [(i, min(o, above) - r)
+                    for i, (o, above, r) in enumerate(zip(outer, outer[:1] + inner, rows))
+                    if min(o, above) > r]
+            room = sum(f for _, f in free)
+            # (the diagram so far, cells still to add), one free row at a time
+            spreads = [(rows, size)] if size <= room else []
+            for i, f in free:
+                room -= f
+                spreads = [(shape[:i] + (shape[i] + t,) + shape[i + 1:], left - t)
+                           for shape, left in spreads
+                           for t in range(max(0, left - room), min(f, left) + 1)]
+            for shape, _ in spreads:
+                grown[tuple(filter(None, shape))] += count
+        counts = grown
+    return MappingProxyType(counts)
 
 
 def kostka(shape, content) -> int:
     """The number of semistandard tableaux of the given shape and content.
 
-    Computed by peeling horizontal strips, largest letter first, while
-    counting the ways to reach each intermediate shape; no recursion, so the
-    content may be arbitrarily long.  This is independent of the
-    backtracking enumeration.
+    Read off `kostka_within(shape, content)`, the forward Pieri pass that
+    stays inside the shape.  This is independent of the backtracking
+    enumeration.
     """
-    return _kostka(normalize_partition(shape), tuple(content))
+    shape = normalize_partition(shape)
+    return kostka_within(shape, tuple(content)).get(shape, 0)
 
 
 def column_minor(entries: tuple[int, ...]) -> Polynomial:

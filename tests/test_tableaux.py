@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import kostka_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plethysm import tableaux, verify
 from plethysm.actions import is_un_invariant
 from plethysm.polynomials import Monomial, variable
 from plethysm.tableaux import (
@@ -69,6 +71,15 @@ def test_enumerate_sst_row_reading_order():
         assert len(set(words)) == len(words)
 
 
+def test_enumerate_sst_past_the_recursion_limit():
+    # one tableau each, filled cell by cell far beyond the recursion limit
+    for shape in [(1100,), (1,) * 1100]:
+        [T] = enumerate_sst(shape, (1,) * 1100)
+        assert T.row_reading_word() == tuple(range(1, 1101))
+    assert [T.rows for T in enumerate_sst((999,), (999,))] == [((1,) * 999,)]
+    assert [T.rows for T in enumerate_sst((500, 500), (500, 500))] == [((1,) * 500, (2,) * 500)]
+
+
 def test_enumerate_sst_counts_match_kostka():
     shapes = [(3,), (2, 1), (1, 1, 1), (4, 2), (3, 3), (2, 2, 2), (4, 4, 1), (3, 3, 3)]
     for shape in shapes:
@@ -110,6 +121,14 @@ def test_kostka_values():
     assert kostka((4, 4, 1), (3, 3, 3)) == 1
     assert kostka((2, 2, 2), (3, 3)) == 0
     assert kostka((), ()) == 1
+    assert kostka((2, 2), (1, 2, 0, 1)) == kostka((2, 2), (1, 2, 1)) == 1
+
+
+def test_kostka_rejects_negative_content():
+    # the same error as enumerate_sst, though the sizes agree
+    for count in (kostka, enumerate_sst):
+        with pytest.raises(ValueError, match="negative content"):
+            count((2,), (3, -1))
 
 
 def test_kostka_content_permutation_invariance():
@@ -123,6 +142,25 @@ def test_kostka_content_permutation_invariance():
             if base is None:
                 base = value
             assert value == base
+
+
+def test_kostka_check_builds_one_table_per_m(monkeypatch):
+    calls = Counter()
+    within = tableaux.kostka_within
+
+    def counting(outer, content):
+        calls[outer, content] += 1
+        return within(outer, content)
+
+    def forbidden(shape, content):
+        raise AssertionError("the check reads the table, not kostka")
+
+    monkeypatch.setattr(tableaux, "kostka_within", counting)
+    monkeypatch.setattr(tableaux, "kostka", forbidden)
+    within.cache_clear()
+    assert verify.check_kostka_closed_form(8).passed
+    assert calls == Counter({((3 * m,) * 3, (m,) * 3): 1 for m in range(1, 9)})
+    assert within.cache_info().misses == 8
 
 
 def test_column_minor_is_gamma1():
