@@ -122,9 +122,6 @@ def test_kostka_values():
     assert kostka((2, 2, 2), (3, 3)) == 0
     assert kostka((), ()) == 1
     assert kostka((2, 2), (1, 2, 0, 1)) == kostka((2, 2), (1, 2, 1)) == 1
-
-
-def test_kostka_rejects_negative_content():
     # the same error as enumerate_sst, though the sizes agree
     for count in (kostka, enumerate_sst):
         with pytest.raises(ValueError, match="negative content"):
