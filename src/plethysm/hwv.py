@@ -14,7 +14,7 @@ the 2x2 minors delta[i][j] of the top two rows and the 3x3 determinant:
     beta2  = x[1][2]*delta[1][3],   beta3 = x[1][3]*delta[1][2]
     alpha2 = beta2^2 + beta3^2 - beta2*beta3
     alpha3 = 2*(beta2^3 + beta3^3) - 3*(beta2^2*beta3 + beta2*beta3^2)
-    gamma1 = det of the full 3x3 top submatrix
+    gamma1 = det of the 3x3 top submatrix, tableaux.column_minor((1, 2, 3))
     gamma2 = delta[1][2]*delta[1][3]*delta[2][3]
 
 The alphas are S_3-invariant, the gammas are sign-equivariant, and the words
@@ -30,6 +30,9 @@ gamma = delta[1][2], j even for the invariants and odd for the sign part.
 For both k, a word's grade, weight, expansion and printed form are computed
 from one factor table, ``_FACTORS``, which lists each generator's label,
 grade and weight; ``decompose(k, m, variant)`` is the entry point for both.
+``verify`` checks the k = 3 rows of that table against the generator
+polynomials, and multiplies its own table of generator leading monomials
+along the same rows to get each word's leading monomial.
 
 A note on indexing: beta2 here carries the factor x[1][2] (the cofactor
 convention that makes beta2 + beta3 + the missing term sum against the
@@ -47,7 +50,7 @@ from operator import mul
 from typing import Iterator
 
 from .polynomials import Polynomial, variable
-from .tableaux import Diagram, normalize_partition, pad
+from .tableaux import Diagram, column_minor, normalize_partition, pad
 
 VARIANTS = ("sym", "alt_gamma1", "alt_gamma2")
 
@@ -70,14 +73,7 @@ def generators_k3() -> dict[str, Polynomial]:
     beta3 = x(1, 3) * delta_minor(1, 2)
     alpha2 = beta2 ** 2 + beta3 ** 2 - beta2 * beta3
     alpha3 = 2 * (beta2 ** 3 + beta3 ** 3) - 3 * (beta2 ** 2 * beta3 + beta2 * beta3 ** 2)
-    gamma1 = (
-        x(1, 1) * x(2, 2) * x(3, 3)
-        - x(1, 1) * x(3, 2) * x(2, 3)
-        - x(2, 1) * x(1, 2) * x(3, 3)
-        + x(2, 1) * x(3, 2) * x(1, 3)
-        + x(3, 1) * x(1, 2) * x(2, 3)
-        - x(3, 1) * x(2, 2) * x(1, 3)
-    )
+    gamma1 = column_minor((1, 2, 3))
     gamma2 = delta_minor(1, 2) * delta_minor(1, 3) * delta_minor(2, 3)
     return {
         "alpha1": alpha1,
@@ -398,8 +394,11 @@ class WordK2(_Word):
 @dataclass(frozen=True)
 class DecompositionEntry:
     diagram: Diagram
-    multiplicity: int
     words: tuple
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -499,11 +498,14 @@ class DecompositionReport:
         entries = tuple(
             DecompositionEntry(
                 diagram=tuple(e["diagram"]),
-                multiplicity=e["multiplicity"],
                 words=tuple(word_cls.from_json_obj(w) for w in e["words"]),
             )
             for e in obj["entries"]
         )
+        for entry, e in zip(entries, obj["entries"]):
+            if entry.multiplicity != e["multiplicity"]:
+                raise ValueError(f"{_diagram_str(entry.diagram)} has multiplicity "
+                                 f"{e['multiplicity']} but {entry.multiplicity} words")
         return cls(k=obj["k"], m=obj["m"], variant=obj["variant"], entries=entries)
 
 
@@ -523,23 +525,13 @@ def _diagram_str(diagram: Diagram) -> str:
     return "(" + ",".join(map(str, diagram)) + ")"
 
 
-def group_words_into_entries(words) -> tuple[DecompositionEntry, ...]:
-    """Group words by diagram, diagrams in decreasing lexicographic order."""
-    by_diagram: dict[Diagram, list] = {}
-    for w in words:
-        by_diagram.setdefault(w.diagram(), []).append(w)
-    return tuple(
-        DecompositionEntry(diagram=diagram, multiplicity=len(by_diagram[diagram]),
-                           words=tuple(sorted(by_diagram[diagram])))
-        for diagram in sorted(by_diagram, reverse=True)
-    )
-
-
 @lru_cache(maxsize=None)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
 
     For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
+    The words come in order, so each constituent keeps them in that order;
+    constituents are in decreasing lexicographic order of their diagrams.
     Reports are immutable, so each (k, m, variant) is built once and shared.
     """
     if k == 3:
@@ -549,6 +541,9 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
         words = [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
     else:
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k}")
-    return DecompositionReport(
-        k=k, m=m, variant=variant, entries=group_words_into_entries(words)
-    )
+    by_diagram: dict[Diagram, list] = {}
+    for w in words:
+        by_diagram.setdefault(w.diagram(), []).append(w)
+    entries = tuple(DecompositionEntry(diagram, tuple(by_diagram[diagram]))
+                    for diagram in sorted(by_diagram, reverse=True))
+    return DecompositionReport(k=k, m=m, variant=variant, entries=entries)

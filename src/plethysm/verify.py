@@ -51,7 +51,7 @@ def check_generators_un_invariant(n: int = 4) -> CheckResult:
     gens = hwv.generators_k3()
     bad = [
         name
-        for name in ("alpha1", "alpha2", "alpha3", "gamma1", "gamma2")
+        for _, name, _, _ in hwv._FACTORS[3]
         if not actions.is_un_invariant(gens[name], n)
     ]
     for name, poly in hwv.generators_k2().items():
@@ -85,20 +85,15 @@ def check_generators_symmetry_type() -> CheckResult:
 
 
 def check_generator_grades_weights() -> CheckResult:
+    """Every word's grade and weight are read off ``hwv._FACTORS``, so the
+    k = 3 rows of that table are what is checked here."""
     gens = hwv.generators_k3()
-    expected = {
-        "alpha1": (1, (3,)),
-        "gamma1": (1, (1, 1, 1)),
-        "alpha2": (2, (4, 2)),
-        "gamma2": (2, (3, 3)),
-        "alpha3": (3, (6, 3)),
-    }
     problems = []
-    for name, (grade, weight) in expected.items():
+    for _, name, grade, weight in hwv._FACTORS[3]:
         poly = gens[name]
         if poly.column_degree(3) != (grade,) * 3:
             problems.append(f"{name} grade")
-        if tableaux.normalize_partition(poly.row_weight(3)) != weight:
+        if poly.row_weight(3) != weight:
             problems.append(f"{name} weight")
     return CheckResult(
         "generator-grades-weights",
@@ -108,19 +103,22 @@ def check_generator_grades_weights() -> CheckResult:
     )
 
 
+# The leading monomial and coefficient of each k = 3 generator.
+_LEADING_MONOMIALS = {
+    "alpha1": (Monomial({(1, 1): 1, (1, 2): 1, (1, 3): 1}), 1),
+    "alpha2": (Monomial({(1, 1): 2, (1, 2): 2, (2, 3): 2}), 1),
+    "alpha3": (Monomial({(1, 1): 3, (1, 2): 3, (2, 3): 3}), 2),
+    "gamma1": (Monomial({(1, 1): 1, (2, 2): 1, (3, 3): 1}), 1),
+    "gamma2": (Monomial({(1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 2}), 1),
+}
+
+
 def check_leading_monomial_table() -> CheckResult:
     gens = hwv.generators_k3()
-    expected = {
-        "alpha1": ({(1, 1): 1, (1, 2): 1, (1, 3): 1}, 1),
-        "alpha2": ({(1, 1): 2, (1, 2): 2, (2, 3): 2}, 1),
-        "alpha3": ({(1, 1): 3, (1, 2): 3, (2, 3): 3}, 2),
-        "gamma1": ({(1, 1): 1, (2, 2): 1, (3, 3): 1}, 1),
-        "gamma2": ({(1, 1): 2, (1, 2): 1, (2, 2): 1, (2, 3): 2}, 1),
-    }
     problems = []
-    for name, (exps, coeff) in expected.items():
+    for name, expected in _LEADING_MONOMIALS.items():
         mono, c = gens[name].leading_monomial()
-        if mono != Monomial(exps) or c != coeff:
+        if (mono, c) != expected:
             problems.append(f"{name}: got {c}*{mono}")
     return CheckResult(
         "leading-monomial-table",
@@ -131,6 +129,9 @@ def check_leading_monomial_table() -> CheckResult:
 
 
 def check_word_leading_monomials(max_grade: int) -> CheckResult:
+    """LM(f*g) = LM(f)*LM(g), so a word's leading monomial and coefficient
+    are the products of its generators' table entries, each raised to the
+    word's exponent; the words are expanded and compared with that."""
     seen: dict[Monomial, str] = {}
     count = 0
     problems = []
@@ -142,19 +143,13 @@ def check_word_leading_monomials(max_grade: int) -> CheckResult:
                 problems.append(f"{word} expands to zero")
                 continue
             mono, coeff = poly.leading_monomial()
-            p, q = word.gamma1_exponent, word.gamma2_exponent
-            a, b, c = word.a, word.b, word.c
-            wanted = Monomial({
-                (1, 1): a + 2 * b + 3 * c + p + 2 * q,
-                (1, 2): a + 2 * b + 3 * c + q,
-                (1, 3): a,
-                (2, 2): p + q,
-                (2, 3): 2 * b + 3 * c + 2 * q,
-                (3, 3): p,
-            })
+            wanted, wanted_coeff = Monomial(), 1
+            for (_, name, _, _), exp in zip(hwv._FACTORS[3], word.exponents()):
+                lm, c = _LEADING_MONOMIALS[name]
+                wanted, wanted_coeff = wanted * lm ** exp, wanted_coeff * c ** exp
             if mono != wanted:
                 problems.append(f"{word}: leading monomial {mono}")
-            if coeff != 2 ** c:
+            if coeff != wanted_coeff:
                 problems.append(f"{word}: leading coefficient {coeff}")
             prior = seen.get(mono)
             if prior is not None:

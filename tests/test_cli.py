@@ -223,6 +223,21 @@ def test_expanded_output_bytes_are_pinned(tmp_path, k, m, variant, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPANDED_SHA256[k, m, variant, fmt]
 
 
+# sha256 of `verify` output; a change to any check's name, order or detail
+# string changes these, and the pin is updated with it
+VERIFY_SHA256 = {
+    "--m 8 --format json": "d60d537da87e7b7735078ab997b5bb9d504e7ebc97e31ef8bae39cf97d6d0714",
+    "--m 3": "00c1ec32b23e6d296139217de63e66f33266d7f59e3acfcf438b649ab1b805f5",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_SHA256))
+def test_verify_output_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "out"
+    assert main(["verify", *args.split(), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256[args]
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--m", "86", "--expand"],
     ["decompose", "--m", "86", "--expand", "--format", "json"],

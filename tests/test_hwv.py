@@ -66,6 +66,32 @@ def test_generator_leading_monomials():
         assert g[name].leading_monomial() == expected
 
 
+@pytest.mark.parametrize("name, field, value, detail", [
+    ("alpha2", 3, (4, 1, 1), "alpha2 weight"),
+    ("gamma1", 2, 2, "gamma1 grade"),
+], ids=["alpha2-weight", "gamma1-grade"])
+def test_verify_checks_the_factor_table(monkeypatch, name, field, value, detail):
+    # every word's grade and weight are read off hwv._FACTORS, so a wrong row
+    # there must fail the generator check
+    assert verify.check_generator_grades_weights().passed
+    altered = tuple(row[:field] + (value,) + row[field + 1:] if row[1] == name else row
+                    for row in hwv._FACTORS[3])
+    monkeypatch.setitem(hwv._FACTORS, 3, altered)
+    result = verify.check_generator_grades_weights()
+    assert not result.passed and result.detail == detail
+
+
+def test_word_leading_monomials_multiply_the_generator_table(monkeypatch):
+    # the word check reads each generator's leading term from the same table
+    # as the table check, so one wrong entry fails both
+    mono, _ = verify._LEADING_MONOMIALS["alpha3"]
+    monkeypatch.setitem(verify._LEADING_MONOMIALS, "alpha3", (mono, 1))
+    assert verify.check_leading_monomial_table().detail == f"alpha3: got 2*{mono}"
+    result = verify.check_word_leading_monomials(4)
+    assert not result.passed
+    assert result.detail.startswith("a3: leading coefficient 2")
+
+
 def test_discriminant_relation():
     outcome = verify_discriminant_relation()
     assert outcome.corrected_holds
@@ -217,6 +243,15 @@ def test_report_json_round_trip():
         report = decompose(k, m, variant)
         again = DecompositionReport.from_json_obj(report.to_json_obj())
         assert again == report
+
+
+def test_report_rejects_a_multiplicity_that_disagrees_with_its_words():
+    obj = json.loads(verify.load_golden_text(6, "sym"))
+    assert DecompositionReport.from_json_obj(obj) == decompose(3, 6, "sym")
+    entry = next(e for e in obj["entries"] if e["diagram"] == [12, 6])
+    entry["multiplicity"] += 1
+    with pytest.raises(ValueError, match=r"\(12,6\) has multiplicity 3 but 2 words"):
+        DecompositionReport.from_json_obj(obj)
 
 
 def test_report_text_contains_each_diagram():
