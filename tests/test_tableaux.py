@@ -3,6 +3,7 @@ from collections import Counter
 
 import kostka_reference
 import pytest
+import sst_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,7 +88,10 @@ def test_enumerate_sst_counts_match_kostka():
         for content in itertools.product(range(total + 1), repeat=3):
             if sum(content) != total:
                 continue
-            assert len(enumerate_sst(shape, content)) == kostka(shape, content)
+            count = len(enumerate_sst(shape, content))
+            assert count == kostka(shape, content)
+            # listing and counting share the strip step, so also the backward peel
+            assert count == kostka_reference.kostka(shape, content)
 
 
 @st.composite
@@ -111,6 +115,14 @@ def shapes_and_contents(draw):
 def test_kostka_matches_the_backward_peel(case):
     shape, content = case
     assert kostka(shape, content) == kostka_reference.kostka(shape, content)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes_and_contents())
+def test_enumerate_sst_matches_the_backtracker(case):
+    shape, content = case
+    assert ([T.rows for T in enumerate_sst(shape, content)]
+            == [T.rows for T in sst_reference.enumerate_sst(shape, content)])
 
 
 def test_kostka_values():
