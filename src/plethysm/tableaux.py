@@ -100,57 +100,52 @@ class Tableau:
         return [list(r) for r in self.rows]
 
 
+def _strips(inner: Diagram, outer: Diagram, size: int) -> list[Diagram]:
+    """The diagrams inside `outer` that add a horizontal `size`-strip to `inner`.
+
+    `inner` must lie inside `outer`.  In a strip row i grows to at most
+    inner[i-1] (Macdonald I.1), and it stays in `outer`; the rows are
+    otherwise independent, so a strip is a way of spreading `size` cells
+    over the rows with room.
+    """
+    rows = inner + (0,) * (len(inner) < len(outer))
+    free = [(i, min(o, above) - r)
+            for i, (o, above, r) in enumerate(zip(outer, outer[:1] + inner, rows))
+            if min(o, above) > r]
+    room = sum(f for _, f in free)
+    # (the diagram so far, cells still to add), one free row at a time
+    spreads = [(rows, size)] if size <= room else []
+    for i, f in free:
+        room -= f
+        spreads = [(shape[:i] + (shape[i] + t,) + shape[i + 1:], left - t)
+                   for shape, left in spreads
+                   for t in range(max(0, left - room), min(f, left) + 1)]
+    return [tuple(filter(None, shape)) for shape, _ in spreads]
+
+
 def enumerate_sst(shape, content) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content.
 
-    Entries come from the alphabet 1..len(content).  The list is generated by
-    filling cells in row reading order with the smallest feasible entry first,
-    so it is sorted lexicographically by row reading word and is deterministic.
+    Entries come from the alphabet 1..len(content).  The cells holding t form
+    a horizontal strip of content[t-1] cells (Macdonald I.5.16), so every
+    partial filling grows by letter t in each strip that stays inside the
+    shape, as in `kostka_within`.  Each tableau arises once, and the list is
+    sorted by row reading word.  There is no recursion, so the content may
+    be arbitrarily long.
     """
     shape = normalize_partition(shape)
     content = tuple(content)
     if any(c < 0 for c in content):
         raise ValueError(f"negative content {content}")
-    k = len(content)
-    if sum(shape) != sum(content):
+    if sum(shape) != sum(content) or len(shape) > len(content):
         return []
-    if len(shape) > k:
-        return []
-
-    cells = [(i, j) for i, width in enumerate(shape) for j in range(width)]
-    grid = [[0] * width for width in shape]
-    remaining = list(content)
-    out: list[Tableau] = []
-    # depth first without recursion: cells[:idx] are filled, and every cell
-    # keeps the entry it tried last (0 for none), so the grid is the stack
-    idx = 0
-    while idx >= 0:
-        if idx == len(cells):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            idx -= 1
-            continue
-        i, j = cells[idx]
-        v = grid[i][j]
-        if v:
-            remaining[v - 1] += 1
-        v = max(v + 1, grid[i][j - 1] if j else 1, grid[i - 1][j] + 1 if i else 1)
-        while v <= k and not remaining[v - 1]:
-            v += 1
-        if v <= k:
-            remaining[v - 1] -= 1
-            # no later cell takes an entry below `floor`: the rest of this row
-            # needs v or more, the rows below more than its first entry; an
-            # entry left under `floor` is a dead end, and so is every larger v
-            floor = min(v if j + 1 < shape[i] else k + 1,
-                        (grid[i][0] if j else v) + 1 if i + 1 < len(shape) else k + 1)
-            if not any(remaining[:floor - 1]):
-                grid[i][j] = v
-                idx += 1
-                continue
-            remaining[v - 1] += 1
-        grid[i][j] = 0
-        idx -= 1
-    return out
+    fillings: list[tuple[tuple[int, ...], ...]] = [()]
+    for t, size in enumerate(content, start=1):
+        fillings = [tuple(row + (t,) * (width - len(row))
+                          for row, width in zip(rows + ((),), grown))
+                    for rows in fillings
+                    for grown in _strips(tuple(map(len, rows)), shape, size)]
+    return sorted(map(Tableau, fillings), key=Tableau.row_reading_word)
 
 
 @lru_cache(maxsize=None)
@@ -170,21 +165,8 @@ def kostka_within(outer: Diagram, content: tuple[int, ...]) -> MappingProxyType[
     for size in content:
         grown: Counter[Diagram] = Counter()
         for inner, count in counts.items():
-            rows = inner + (0,) * (len(inner) < len(outer))
-            # in a strip row i grows to at most inner[i-1], and it stays in outer
-            free = [(i, min(o, above) - r)
-                    for i, (o, above, r) in enumerate(zip(outer, outer[:1] + inner, rows))
-                    if min(o, above) > r]
-            room = sum(f for _, f in free)
-            # (the diagram so far, cells still to add), one free row at a time
-            spreads = [(rows, size)] if size <= room else []
-            for i, f in free:
-                room -= f
-                spreads = [(shape[:i] + (shape[i] + t,) + shape[i + 1:], left - t)
-                           for shape, left in spreads
-                           for t in range(max(0, left - room), min(f, left) + 1)]
-            for shape, _ in spreads:
-                grown[tuple(filter(None, shape))] += count
+            for diagram in _strips(inner, outer, size):
+                grown[diagram] += count
         counts = grown
     return MappingProxyType(counts)
 
@@ -193,8 +175,10 @@ def kostka(shape, content) -> int:
     """The number of semistandard tableaux of the given shape and content.
 
     Read off `kostka_within(shape, content)`, the forward Pieri pass that
-    stays inside the shape.  This is independent of the backtracking
-    enumeration.
+    stays inside the shape.  `enumerate_sst` lists tableaux through the same
+    strip step, so the independent checks are the backward strip peel in
+    the tests' `kostka_reference` and, for listed tableaux, the `Tableau`
+    constructor.
     """
     shape = normalize_partition(shape)
     return kostka_within(shape, tuple(content)).get(shape, 0)
