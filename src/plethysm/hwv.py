@@ -494,19 +494,24 @@ class DecompositionReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionReport":
-        word_cls = GeneratorWord if obj["k"] == 3 else WordK2
-        entries = tuple(
-            DecompositionEntry(
-                diagram=tuple(e["diagram"]),
-                words=tuple(word_cls.from_json_obj(w) for w in e["words"]),
-            )
-            for e in obj["entries"]
-        )
-        for entry, e in zip(entries, obj["entries"]):
-            if entry.multiplicity != e["multiplicity"]:
-                raise ValueError(f"{_diagram_str(entry.diagram)} has multiplicity "
-                                 f"{e['multiplicity']} but {entry.multiplicity} words")
-        return cls(k=obj["k"], m=obj["m"], variant=obj["variant"], entries=entries)
+        """The report that `obj` writes out, ignoring "polynomial" keys.
+
+        A valid document is exactly ``decompose(k, m, variant)`` in JSON, so
+        that report is built and returned; any other document raises
+        ``ValueError``.
+        """
+        for e in obj["entries"]:
+            if e["multiplicity"] != len(e["words"]):
+                raise ValueError(f"{_diagram_str(e['diagram'])} has multiplicity "
+                                 f"{e['multiplicity']} but {len(e['words'])} words")
+        report = decompose(obj["k"], obj["m"], obj["variant"])
+        entries = [dict(e, words=[{key: v for key, v in w.items() if key != "polynomial"}
+                                  for w in e["words"]])
+                   for e in obj["entries"]]
+        if dict(obj, entries=entries) != report.to_json_obj():
+            raise ValueError(f"the document is not the decomposition of "
+                             f"{report.component_name()}")
+        return report
 
 
 # Stands in for a polynomial until the JSON text is written.  json.dumps

@@ -254,6 +254,20 @@ def test_report_rejects_a_multiplicity_that_disagrees_with_its_words():
         DecompositionReport.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("change", [
+    lambda obj: obj["entries"][0].update(diagram=[1, 1]),
+    lambda obj: obj.update(m=5),
+    lambda obj: obj["entries"].reverse(),
+    lambda obj: obj.update(variant="alt"),
+    lambda obj: obj.update(k=2),
+], ids=["diagram", "m", "order", "variant", "k"])
+def test_report_rejects_a_document_that_is_not_its_decomposition(change):
+    obj = json.loads(verify.load_golden_text(6, "sym"))
+    change(obj)
+    with pytest.raises(ValueError, match="not the decomposition of"):
+        DecompositionReport.from_json_obj(obj)
+
+
 def test_report_text_contains_each_diagram():
     report = decompose(3, 3, "alt")
     text = report.to_text()
