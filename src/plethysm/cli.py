@@ -16,7 +16,11 @@ Exit codes:
   ``--output`` file that cannot be written (checked before any work).
 * 3: instance too large (a kernel computation exceeds the size bound).
 
-Codes 2 and 3 come with a one-line message on stderr.
+Code 3, and the code-2 errors named above, print one line on stderr,
+``plethysm: error: ...`` or ``plethysm: instance too large: ...``.  Every
+other code-2 error is an argparse usage error (an unknown, missing or
+malformed option, or an out-of-range value such as ``--m -1``): it prints
+the usage text first, then the one error line.
 
 Output is written piece by piece as it is produced; with ``--expand`` that
 is one word's polynomial at a time, so the whole document is never held in
