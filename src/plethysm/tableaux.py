@@ -137,6 +137,8 @@ def enumerate_sst(shape, content) -> list[Tableau]:
     content = tuple(content)
     if any(c < 0 for c in content):
         raise ValueError(f"negative content {content}")
+    # a finished filling covers sum(content) cells inside the shape, so with
+    # equal sizes it covers the shape
     if sum(shape) != sum(content) or len(shape) > len(content):
         return []
     fillings: list[tuple[tuple[int, ...], ...]] = [()]
