@@ -108,6 +108,12 @@ def test_word_validation():
         GeneratorWord(0, 0, 0, 0, 0, 0, "bogus")
     with pytest.raises(ValueError):
         GeneratorWord(-1, 0, 0, 0, 0, 0, "sym")
+    with pytest.raises(ValueError):
+        GeneratorWord(0, 0, 0, 0, 0, 2, "sym")
+    with pytest.raises(ValueError):
+        GeneratorWord(0, 0, 0, 0, 0, -1, "sym")
+    with pytest.raises(ValueError):
+        GeneratorWord(0, 0, 0, 0, 0, 1, "alt_gamma2")
 
 
 def test_word_grade_weight_match_expansion():
@@ -339,6 +345,18 @@ def test_words_match_the_reference(k, m_max, variant):
         if k == 3:
             assert ([_word_view(w) for w in enumerate_basis(m, variant)]
                     == [_word_view(w) for w in word_reference.enumerate_basis(m, variant)])
+
+
+@pytest.mark.parametrize("variant", ["sym", "alt"])
+def test_enumerate_basis_matches_the_reference_to_m_40(variant):
+    # the fields, printed form and weight of every word, in order; the
+    # expansions are compared to m = 10 above
+    def view(word):
+        return list(word.to_json_obj().items()), str(word), word.weight()
+
+    for m in range(0 if variant == "sym" else 1, 41):
+        assert ([view(w) for w in enumerate_basis(m, variant)]
+                == [view(w) for w in word_reference.enumerate_basis(m, variant)]), m
 
 
 def test_words_for_weight_matches_the_reference():
