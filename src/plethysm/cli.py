@@ -201,9 +201,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--n must be at least 3")
     if args.max_dim is not None and args.max_dim < 0:
         parser.error("--max-dim must be nonnegative")
-    max_dim = oracle.default_max_dim() if args.max_dim is None else args.max_dim
     results = verify.run_verification(
-        m_max=args.m, n=args.n, max_dim=max_dim,
+        m_max=args.m, n=args.n, max_dim=args.max_dim,
         force_gamma1_variant=args.force_printed_discriminant,
     )
     ok = all(r.passed for r in results)

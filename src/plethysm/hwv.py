@@ -52,7 +52,14 @@ from typing import Iterator
 from .polynomials import Polynomial, variable
 from .tableaux import Diagram, column_minor, normalize_partition, pad
 
-VARIANTS = ("sym", "alt_gamma1", "alt_gamma2")
+# The word families of k = 3: (variant, f) -> the parities (p - 2d, q - 2e)
+# of the gamma exponents of a GeneratorWord.  Equal parities give the
+# S_3-invariants (the "sym" component), unequal ones the sign part ("alt").
+_FAMILIES = {("sym", 0): (0, 0), ("sym", 1): (1, 1),
+             ("alt_gamma1", 0): (1, 0), ("alt_gamma2", 0): (0, 1)}
+VARIANTS = tuple(dict.fromkeys(variant for variant, _ in _FAMILIES))
+# The family of each x = (p - 2d) + 2(q - 2e), as enumerate_basis meets it.
+_FAMILY_OF_X = {p + 2 * q: family for family, (p, q) in _FAMILIES.items()}
 
 
 class BadShapeError(ValueError):
@@ -230,7 +237,7 @@ class GeneratorWord(_Word):
     """A word alpha1^a * alpha2^b * alpha3^c * gamma1^p * gamma2^q.
 
     The gamma exponents are encoded through (d, e, f) so that each parity
-    class is enumerated without repetition:
+    class is enumerated without repetition; ``_FAMILIES`` holds the parities:
 
         sym:        p = 2d + f, q = 2e + f, f in {0, 1}
         alt_gamma1: p = 2d + 1, q = 2e     (f fixed at 0)
@@ -252,32 +259,25 @@ class GeneratorWord(_Word):
     _k = 3
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if min(self.a, self.b, self.c, self.d, self.e, self.f) < 0:
+        if (self.variant, self.f) not in _FAMILIES:
+            raise ValueError(f"no word family has variant {self.variant!r} and f={self.f}")
+        if min(self.a, self.b, self.c, self.d, self.e) < 0:
             raise ValueError("word exponents must be nonnegative")
         if self.c > 1:
             raise ValueError("alpha3 exponent c must be 0 or 1")
-        if self.f > 1:
-            raise ValueError("shared gamma parity f must be 0 or 1")
-        if self.variant != "sym" and self.f:
-            raise ValueError("f is only used by sym words")
 
     @property
     def gamma1_exponent(self) -> int:
-        if self.variant == "alt_gamma1":
-            return 2 * self.d + 1
-        return 2 * self.d + self.f
+        return self.exponents()[3]
 
     @property
     def gamma2_exponent(self) -> int:
-        if self.variant == "alt_gamma2":
-            return 2 * self.e + 1
-        return 2 * self.e + self.f
+        return self.exponents()[4]
 
     def exponents(self) -> tuple[int, int, int, int, int]:
         """(a, b, c, p, q), the exponents of alpha1, alpha2, alpha3, gamma1, gamma2."""
-        return (self.a, self.b, self.c, self.gamma1_exponent, self.gamma2_exponent)
+        p, q = _FAMILIES[self.variant, self.f]
+        return (self.a, self.b, self.c, 2 * self.d + p, 2 * self.e + q)
 
     def to_json_obj(self) -> dict:
         return {
@@ -285,11 +285,6 @@ class GeneratorWord(_Word):
             "d": self.d, "e": self.e, "f": self.f,
             "variant": self.variant,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "GeneratorWord":
-        return cls(obj["a"], obj["b"], obj["c"], obj["d"], obj["e"], obj["f"],
-                   obj["variant"])
 
 
 def _check_component(m: int, variant: str) -> None:
@@ -308,27 +303,22 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
     variant "sym" covers S^3(S^m); "alt" merges the two sign families that
     cover Λ^3(S^m) (m >= 1 there; Λ^3 of a line is zero so grade 0 is empty
     anyway, but callers should not ask).
+
+    The grade is a + 2b + 3c + 2d + 4e + x with x = (p - 2d) + 2(q - 2e) in
+    0..3, and each x belongs to one family, so each (a, b, c, d) gives one
+    word; looping over them in field order lists the words in sorted order.
     """
     _check_component(m, variant)
     words = []
-    for var in ("sym",) if variant == "sym" else ("alt_gamma1", "alt_gamma2"):
-        f_values = (0, 1) if var == "sym" else (0,)
-        for f in f_values:
-            # grade = a + 2b + 3c + (2d + 4e) + fixed offset from f or the
-            # forced odd gamma exponent
-            offset = {"sym": 3 * f, "alt_gamma1": 1, "alt_gamma2": 2}[var]
-            rest = m - offset
-            if rest < 0:
-                continue
-            for c in (0, 1):
-                if 3 * c > rest:
-                    continue
-                for b in range((rest - 3 * c) // 2 + 1):
-                    for d in range((rest - 3 * c - 2 * b) // 2 + 1):
-                        for e in range((rest - 3 * c - 2 * b - 2 * d) // 4 + 1):
-                            a = rest - 3 * c - 2 * b - 2 * d - 4 * e
-                            words.append(GeneratorWord(a, b, c, d, e, f, var))
-    words.sort()
+    for a in range(m + 1):
+        for b in range((m - a) // 2 + 1):
+            for c in range(min(1, (m - a - 2 * b) // 3) + 1):
+                rest = m - a - 2 * b - 3 * c
+                for d in range(rest // 2 + 1):
+                    e, x = divmod(rest - 2 * d, 4)
+                    family, f = _FAMILY_OF_X[x]
+                    if (family == "sym") == (variant == "sym"):
+                        words.append(GeneratorWord(a, b, c, d, e, f, family))
     return words
 
 
@@ -385,10 +375,6 @@ class WordK2(_Word):
 
     def to_json_obj(self) -> dict:
         return {"alpha": self.i, "gamma": self.j}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "WordK2":
-        return cls(obj["alpha"], obj["gamma"])
 
 
 @dataclass(frozen=True)

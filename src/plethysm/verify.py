@@ -455,7 +455,13 @@ def _partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
 def run_verification(m_max: int = 3, n: int = 3,
                      max_dim: int | None = None,
                      force_gamma1_variant: bool = False) -> list[CheckResult]:
-    """Run every check; heavier checks scale with m_max and n."""
+    """Run every check; heavier checks scale with m_max and n.
+
+    With ``max_dim`` None the kernel bound is read from the environment once,
+    before any check runs, so a malformed PLETHYSM_MAX_DIM fails at once.
+    """
+    if max_dim is None:
+        max_dim = oracle.default_max_dim()
     lm_grade = min(max(m_max, 4), 8)
     results: list[CheckResult] = [
         check_generators_un_invariant(),

@@ -239,6 +239,18 @@ def test_run_verification_builds_each_decomposition_once(monkeypatch):
     assert calls[6, "alt"] and set(calls.values()) == {1}
 
 
+def test_run_verification_reads_a_malformed_max_dim_before_any_check(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, no_check)
+    monkeypatch.setenv("PLETHYSM_MAX_DIM", "abc")
+    with pytest.raises(ValueError, match="PLETHYSM_MAX_DIM"):
+        verify.run_verification(3)
+
+
 def test_decompose_rejects_unknown_k():
     with pytest.raises(ValueError):
         decompose(4, 2, "sym")
@@ -315,7 +327,6 @@ def test_k2_decompose():
     assert report.multiplicities() == {(6,): 1, (4, 2): 1}
     report = decompose(2, 10, "alt")
     assert set(report.multiplicities()) == {(19, 1), (17, 3), (15, 5), (13, 7), (11, 9)}
-    assert WordK2.from_json_obj(report.entries[0].words[0].to_json_obj()) == report.entries[0].words[0]
 
 
 def test_word_rendering():
