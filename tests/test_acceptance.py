@@ -7,6 +7,7 @@ comparisons are exact; there are no numeric tolerances anywhere.
 import json
 import math
 
+from partition_reference import _partitions
 from plethysm import actions, hwv, oracle, tableaux
 from plethysm.hwv import DecompositionReport, decompose
 from plethysm.polynomials import Monomial
@@ -16,22 +17,6 @@ from plethysm.verify import load_golden_text
 def _report(cid, name, ok):
     print(f"ACCEPTANCE {cid} {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"{cid} {name}"
-
-
-def _partitions(total, max_parts):
-    out = []
-
-    def go(rest, bound, acc):
-        if rest == 0:
-            out.append(acc)
-            return
-        if len(acc) == max_parts:
-            return
-        for part in range(min(rest, bound), 0, -1):
-            go(rest - part, part, acc + (part,))
-
-    go(total, total if total else 0, ())
-    return out
 
 
 def test_c01_decomposition_tables():

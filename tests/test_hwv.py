@@ -370,6 +370,19 @@ def test_enumerate_basis_matches_the_reference_to_m_40(variant):
                 == [view(w) for w in word_reference.enumerate_basis(m, variant)]), m
 
 
+@pytest.mark.parametrize("variant", ["sym", "alt"])
+def test_decompose_groups_words_like_the_reference_to_m_40(variant):
+    # the diagrams in order and the fields of each diagram's words in order;
+    # the expansions are compared to m = 10 above
+    for m in range(0 if variant == "sym" else 1, 41):
+        report = decompose(3, m, variant)
+        expected = word_reference.grouped_words(3, m, variant)
+        assert [e.diagram for e in report.entries] == [d for d, _ in expected], m
+        assert ([[list(w.to_json_obj().items()) for w in e.words] for e in report.entries]
+                == [[list(w.to_json_obj().items()) for w in words]
+                    for _, words in expected]), m
+
+
 def test_words_for_weight_matches_the_reference():
     for m in range(0, 13):
         for variant in ("sym", "alt") if m else ("sym",):

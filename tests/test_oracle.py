@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference
+import partition_reference
+from partition_reference import _partitions
 from rank_reference import _rank_bareiss
 from plethysm import actions, oracle
 from plethysm.hwv import decompose, multiplicity_closed_form
@@ -22,7 +24,6 @@ from plethysm.oracle import (
     weyl_dimension,
 )
 from plethysm.tableaux import kostka, normalize_partition
-from plethysm.verify import _partitions
 
 
 def reference_weight_table(m, n, variant):
@@ -118,6 +119,14 @@ def test_monomial_exponents():
     assert monomial_exponents(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert len(monomial_exponents(3, 3)) == math.comb(5, 2)
     assert monomial_exponents(0, 3) == ((0, 0, 0),)
+    assert monomial_exponents(0, 0) == ((),)
+    assert monomial_exponents(2, 0) == ()
+
+
+def test_monomial_exponents_match_the_recursive_lister():
+    for m in range(15):
+        for n in range(7):
+            assert monomial_exponents(m, n) == partition_reference.monomial_exponents(m, n)
 
 
 def test_weight_table_degree_one():
