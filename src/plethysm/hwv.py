@@ -532,9 +532,10 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
         words = [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
     else:
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k}")
-    by_diagram: dict[Diagram, list] = {}
+    by_weight: dict[tuple[int, ...], list] = {}
     for w in words:
-        by_diagram.setdefault(w.diagram(), []).append(w)
-    entries = tuple(DecompositionEntry(diagram, tuple(by_diagram[diagram]))
-                    for diagram in sorted(by_diagram, reverse=True))
+        by_weight.setdefault(w.weight(), []).append(w)
+    # weights are padded diagrams, so they sort as their diagrams do
+    entries = tuple(DecompositionEntry(normalize_partition(weight), tuple(by_weight[weight]))
+                    for weight in sorted(by_weight, reverse=True))
     return DecompositionReport(k=k, m=m, variant=variant, entries=entries)

@@ -256,7 +256,7 @@ def check_against_kernel_oracle(m_max: int, n: int,
     cases = 0
     for m, variant in _components(0, m_max):
         counts = hwv.decompose(3, m, variant).multiplicities()
-        for shape in _partitions(3 * m, 3):
+        for shape in _shapes(m):
             cases += 1
             kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant,
                                                     max_dim=max_dim)
@@ -278,7 +278,7 @@ def check_closed_form(m_max: int) -> CheckResult:
     cases = 0
     for m, variant in _components(0, m_max):
         counts = hwv.decompose(3, m, variant).multiplicities()
-        for shape in _partitions(3 * m, 3):
+        for shape in _shapes(m):
             cases += 1
             formula = hwv.multiplicity_closed_form(shape, variant)
             if formula != counts.get(shape, 0):
@@ -297,7 +297,7 @@ def check_kostka_closed_form(m_max: int) -> CheckResult:
     for m in range(1, m_max + 1):
         # one forward pass gives K(D, (m,m,m)) for every shape D of 3m
         table = tableaux.kostka_within((3 * m,) * 3, (m, m, m))
-        for shape in _partitions(3 * m, 3):
+        for shape in _shapes(m):
             cases += 1
             l1, l2, l3 = tableaux.pad(shape, 3)
             if table.get(shape, 0) != min(l1 - l2, l2 - l3) + 1:
@@ -315,7 +315,7 @@ def check_standard_monomials(m_max: int, n: int = 4) -> CheckResult:
     cases = 0
     for m in range(0, m_max + 1):
         seen: set[Monomial] = set()
-        for shape in _partitions(3 * m, 3):
+        for shape in _shapes(m):
             for T in tableaux.enumerate_sst(shape, (m, m, m)):
                 cases += 1
                 poly = tableaux.delta_tableau(T, n)
@@ -431,21 +431,12 @@ def check_dimension_conservation(m_max: int) -> CheckResult:
     )
 
 
-def _partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
-    """All partitions of `total` into at most `max_parts` parts."""
-    out: list[tuple[int, ...]] = []
-
-    def go(rest: int, bound: int, acc: tuple[int, ...]) -> None:
-        if rest == 0:
-            out.append(acc)
-            return
-        if len(acc) == max_parts:
-            return
-        for part in range(min(rest, bound), 0, -1):
-            go(rest - part, part, acc + (part,))
-
-    go(total, total if total else 0, ())
-    return out
+def _shapes(m: int) -> list[tableaux.Diagram]:
+    """The diagrams of 3m with at most three rows, in decreasing lex order."""
+    total = 3 * m
+    return [tuple(part for part in (l1, l2, total - l1 - l2) if part)
+            for l1 in range(total, m - 1, -1)
+            for l2 in range(min(l1, total - l1), (total - l1 + 1) // 2 - 1, -1)]
 
 
 # ---------------------------------------------------------------------------

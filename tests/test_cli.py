@@ -99,6 +99,12 @@ def test_verify_passes(capsys):
     assert "checks passed" in out
 
 
+def test_verify_past_the_recursion_limit(capsys):
+    code, out = run(capsys, "verify", "--m", "0", "--n", "1000")
+    assert code == 0
+    assert out.endswith("18/18 checks passed\n")
+
+
 def test_verify_forced_discriminant_fails(capsys):
     code, out = run(capsys, "verify", "--m", "2", "--force-printed-discriminant")
     assert code == 1

@@ -331,6 +331,11 @@ def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
         assert rank(rows) == _rank_bareiss(rows)
 
 
+def test_kernel_oracle_past_the_recursion_limit():
+    # the monomials of degree one in 1200 variables, listed with no recursion
+    assert hwv_kernel_multiplicity(1, 1200, (3,), "sym") == 1
+
+
 def test_kernel_oracle_matches_closed_form_m4_to_m8():
     for m in range(4, 9):
         for variant in ("sym", "alt"):

@@ -9,4 +9,4 @@ from plethysm import verify
 
 def test_shapes_match_the_recursive_lister_to_m_120():
     for m in range(121):
-        assert verify._partitions(3 * m, 3) == _partitions(3 * m, 3), m
+        assert verify._shapes(m) == _partitions(3 * m, 3), m
