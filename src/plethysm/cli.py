@@ -75,10 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
-        if with_k:
-            p.add_argument("--k", type=int, choices=(2, 3), default=3,
-                           help="outer power (default 3)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--k", type=int, choices=(2, 3), default=3,
+                       help="outer power (default 3)")
         p.add_argument("--m", type=int, required=True, help="inner symmetric power")
         p.add_argument("--variant", choices=("sym", "alt"), default="sym",
                        help="symmetric or alternating outer power")

@@ -289,6 +289,8 @@ class GeneratorWord(_Word):
 
 def _check_component(m: int, variant: str) -> None:
     """Reject a grade or a component ("sym" or "alt") that has no words."""
+    if type(m) is not int:  # True and 1.0 would share the cache key of 1
+        raise ValueError(f"grade must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"grade must be nonnegative, got {m}")
     if variant not in ("sym", "alt"):
@@ -484,9 +486,15 @@ class DecompositionReport:
 
         A valid document is exactly ``decompose(k, m, variant)`` in JSON, so
         that report is built and returned; any other document raises
-        ``ValueError``.
+        ``ValueError``.  Keys and types are checked before anything is built.
         """
+        _require_fields(obj, {"k": int, "m": int, "variant": str, "entries": list},
+                        "the document")
         for e in obj["entries"]:
+            _require_fields(e, {"diagram": list, "multiplicity": int, "words": list},
+                            "an entry")
+            for w in e["words"]:
+                _require_fields(w, {}, "a word")
             if e["multiplicity"] != len(e["words"]):
                 raise ValueError(f"{_diagram_str(e['diagram'])} has multiplicity "
                                  f"{e['multiplicity']} but {len(e['words'])} words")
@@ -506,6 +514,18 @@ _POLYNOMIAL_SLOT = "\0"
 _POLYNOMIAL_SLOT_TEXT = json.dumps(_POLYNOMIAL_SLOT)
 
 
+def _require_fields(obj, fields: dict[str, type], what: str) -> None:
+    """Raise ValueError unless `obj` is a dict whose `fields` have exactly
+    their types; so neither a bool nor a float passes as an int."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+        if type(obj[key]) is not kind:
+            raise ValueError(f"{what} has {key!r} = {obj[key]!r}, not of type {kind.__name__}")
+
+
 def _word_json_objs(words, expand: bool) -> list[dict]:
     if expand:
         return [dict(w.to_json_obj(), polynomial=_POLYNOMIAL_SLOT) for w in words]
@@ -516,22 +536,23 @@ def _diagram_str(diagram: Diagram) -> str:
     return "(" + ",".join(map(str, diagram)) + ")"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
 
     For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
     The words come in order, so each constituent keeps them in that order;
     constituents are in decreasing lexicographic order of their diagrams.
-    Reports are immutable, so each (k, m, variant) is built once and shared.
+    Reports are immutable, so each (k, m, variant) is built once and shared;
+    k and m must be ints, not bools or floats.
     """
+    if type(k) is not int or k not in (2, 3):
+        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
     if k == 3:
         words = enumerate_basis(m, variant)
-    elif k == 2:
+    else:
         _check_component(m, variant)
         words = [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
-    else:
-        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k}")
     by_weight: dict[tuple[int, ...], list] = {}
     for w in words:
         by_weight.setdefault(w.weight(), []).append(w)

@@ -353,10 +353,9 @@ def check_k2(m_max: int = 10) -> CheckResult:
             poly = word.expand()
             if not actions.is_un_invariant(poly, 2):
                 problems.append(f"{word} not highest weight")
-            swapped = actions.permute_columns(
-                poly, actions.transposition(2, 1, 2))
-            expected = poly if word.j % 2 == 0 else -poly
-            if swapped != expected:
+            right_sign = (actions.is_sk_invariant(poly, 2) if word.j % 2 == 0
+                          else actions.is_sign_equivariant(poly, 2))
+            if not right_sign:
                 problems.append(f"{word} has wrong swap sign")
     return CheckResult(
         "pair-case-complete",

@@ -286,6 +286,40 @@ def test_report_rejects_a_document_that_is_not_its_decomposition(change):
         DecompositionReport.from_json_obj(obj)
 
 
+def _m1_document(change):
+    obj = json.loads(verify.load_golden_text(1, "sym"))
+    change(obj)
+    return obj
+
+
+@pytest.mark.parametrize("attempt", [
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(m=True))),
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(k=3.0))),
+    lambda: DecompositionReport.from_json_obj({}),
+    lambda: DecompositionReport.from_json_obj(
+        _m1_document(lambda o: o["entries"][0].pop("multiplicity"))),
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(m="6"))),
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(m=6.0))),
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(entries=None))),
+    lambda: DecompositionReport.from_json_obj(_m1_document(lambda o: o.update(variant=["sym"]))),
+    lambda: decompose(3, True, "sym"),
+    lambda: decompose(3.0, 1, "sym"),
+    lambda: decompose(2, 1.0, "sym"),
+], ids=["doc-m-bool", "doc-k-float", "doc-empty", "doc-no-multiplicity", "doc-m-str",
+        "doc-m-float", "doc-entries-null", "doc-variant-list", "m-bool", "k-float",
+        "k2-m-float"])
+def test_a_k_or_m_that_is_not_an_int_is_refused(attempt):
+    # a bool or float equal to the int would share its cache key, so the
+    # refusal must hold with and without the int report cached, and the
+    # cached report must keep int fields
+    decompose.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            attempt()
+        report = decompose(3, 1, "sym")
+        assert (type(report.k), type(report.m), report.m) == (int, int, 1)
+
+
 def test_report_text_contains_each_diagram():
     report = decompose(3, 3, "alt")
     text = report.to_text()

@@ -4,9 +4,76 @@ that read that lister or an oracle."""
 import pytest
 
 from partition_reference import _partitions
-from plethysm import verify
+from plethysm import hwv, oracle, tableaux, verify
 
 
 def test_shapes_match_the_recursive_lister_to_m_120():
     for m in range(121):
         assert verify._shapes(m) == _partitions(3 * m, 3), m
+
+
+def _closed_form(original):
+    return lambda shape, variant: original(shape, variant) + (shape == (6, 3, 3))
+
+
+def _kostka_oracle(original):
+    def drop_first(m, n, variant):
+        table = original(m, n, variant)
+        return dict(list(table.items())[m == 4:])
+    return drop_first
+
+
+def _kernel_oracle(original):
+    def one_more(m, n, shape, variant, max_dim=None):
+        return original(m, n, shape, variant, max_dim=max_dim) + (m == 3 and shape == (9,))
+    return one_more
+
+
+def _kostka_within(original):
+    def one_more(outer, content):
+        table = dict(original(outer, content))
+        if (8, 2, 2) in table:
+            table[(8, 2, 2)] += 1
+        return table
+    return one_more
+
+
+def _enumerate_sst(original):
+    return lambda shape, content: original(shape, content) * 2
+
+
+def _weyl_dimension(original):
+    return lambda shape, n: original(shape, n) + (shape == (6, 3))
+
+
+def _golden_text(original):
+    def altered(m, variant):
+        text = original(m, variant)
+        return text.replace('"a": 1', '"a": 2') if (m, variant) == (3, "alt") else text
+    return altered
+
+
+@pytest.mark.parametrize("module, name, mutate, check, broken", [
+    (hwv, "multiplicity_closed_form", _closed_form,
+     lambda: verify.check_closed_form(4), "m=4 sym (6, 3, 3)"),
+    (oracle, "multiplicities_by_kostka", _kostka_oracle,
+     lambda: verify.check_against_kostka_oracle(4, 3), "m=4 sym: words"),
+    (oracle, "hwv_kernel_multiplicity", _kernel_oracle,
+     lambda: verify.check_against_kernel_oracle(3, 3), "m=3 sym (9,): kernel 2, words 1"),
+    (tableaux, "kostka_within", _kostka_within,
+     lambda: verify.check_kostka_closed_form(4), "wrong at (8, 2, 2)"),
+    (tableaux, "enumerate_sst", _enumerate_sst,
+     lambda: verify.check_standard_monomials(2), "leading monomial collision at "),
+    (oracle, "weyl_dimension", _weyl_dimension,
+     lambda: verify.check_dimension_conservation(3), "m=3 n=3 sym: "),
+    (verify, "load_golden_text", _golden_text,
+     lambda: verify.check_golden_tables(), "mismatch at m=3 alt"),
+], ids=["closed-form", "kostka-oracle", "kernel-oracle", "kostka-closed-form",
+        "standard-monomials", "dimension-conservation", "golden-tables"])
+def test_a_wrong_shape_or_oracle_value_fails_its_check(monkeypatch, module, name,
+                                                       mutate, check, broken):
+    assert check().passed
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    result = check()
+    assert result.passed is False
+    assert broken in result.detail
