@@ -289,10 +289,8 @@ class GeneratorWord(_Word):
 
 def _check_component(m: int, variant: str) -> None:
     """Reject a grade or a component ("sym" or "alt") that has no words."""
-    if type(m) is not int:  # True and 1.0 would share the cache key of 1
-        raise ValueError(f"grade must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"grade must be nonnegative, got {m}")
+    if type(m) is not int or m < 0:  # True or 1.0 would share the cache key of 1
+        raise ValueError(f"grade must be a nonnegative int, got {m!r}")
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
     if variant == "alt" and m < 1:
@@ -488,13 +486,11 @@ class DecompositionReport:
         that report is built and returned; any other document raises
         ``ValueError``.  Keys and types are checked before anything is built.
         """
-        _require_fields(obj, {"k": int, "m": int, "variant": str, "entries": list},
-                        "the document")
+        _require_fields(obj, "the document", k=int, m=int, variant=str, entries=list)
         for e in obj["entries"]:
-            _require_fields(e, {"diagram": list, "multiplicity": int, "words": list},
-                            "an entry")
+            _require_fields(e, "an entry", diagram=list, multiplicity=int, words=list)
             for w in e["words"]:
-                _require_fields(w, {}, "a word")
+                _require_fields(w, "a word")
             if e["multiplicity"] != len(e["words"]):
                 raise ValueError(f"{_diagram_str(e['diagram'])} has multiplicity "
                                  f"{e['multiplicity']} but {len(e['words'])} words")
@@ -514,16 +510,14 @@ _POLYNOMIAL_SLOT = "\0"
 _POLYNOMIAL_SLOT_TEXT = json.dumps(_POLYNOMIAL_SLOT)
 
 
-def _require_fields(obj, fields: dict[str, type], what: str) -> None:
-    """Raise ValueError unless `obj` is a dict whose `fields` have exactly
-    their types; so neither a bool nor a float passes as an int."""
+def _require_fields(obj, what: str, **fields: type) -> None:
+    """Raise ValueError unless `obj` is a dict that maps each key of `fields`
+    to a value of exactly that type: a bool or a float is not an int."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
     for key, kind in fields.items():
-        if key not in obj:
-            raise ValueError(f"{what} has no {key!r}")
-        if type(obj[key]) is not kind:
-            raise ValueError(f"{what} has {key!r} = {obj[key]!r}, not of type {kind.__name__}")
+        if type(obj.get(key)) is not kind:
+            raise ValueError(f"{what} has no {key!r} of type {kind.__name__}")
 
 
 def _word_json_objs(words, expand: bool) -> list[dict]:
@@ -543,20 +537,18 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
     The words come in order, so each constituent keeps them in that order;
     constituents are in decreasing lexicographic order of their diagrams.
-    Reports are immutable, so each (k, m, variant) is built once and shared;
-    k and m must be ints, not bools or floats.
+    Reports are immutable, so each (k, m, variant), with int k and m, is built
+    once and shared.
     """
     if type(k) is not int or k not in (2, 3):
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
-    if k == 3:
-        words = enumerate_basis(m, variant)
-    else:
-        _check_component(m, variant)
-        words = [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
+    _check_component(m, variant)
+    words = (enumerate_basis(m, variant) if k == 3
+             else [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)])
     by_weight: dict[tuple[int, ...], list] = {}
     for w in words:
         by_weight.setdefault(w.weight(), []).append(w)
-    # weights are padded diagrams, so they sort as their diagrams do
+    # a weight is its diagram padded with zeros, so the two sort alike
     entries = tuple(DecompositionEntry(normalize_partition(weight), tuple(by_weight[weight]))
                     for weight in sorted(by_weight, reverse=True))
     return DecompositionReport(k=k, m=m, variant=variant, entries=entries)

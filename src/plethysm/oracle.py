@@ -56,19 +56,13 @@ def default_max_dim() -> int:
 
 @lru_cache(maxsize=None)
 def monomial_exponents(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of degree-m monomials in n variables, lex order.
-
-    Stars and bars: n - 1 bars among m + n - 1 places split the m stars into
-    n runs, and the bar positions, listed in reverse, list the vectors in
-    decreasing lex order.
-    """
+    """All exponent vectors of degree-m monomials in n variables, lex order:
+    the runs between n - 1 bars among m + n - 1 places (stars and bars)."""
     if n == 0:
         return ((),) if m == 0 else ()
     places = m + n - 1
-    return tuple(
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
-        for bars in reversed(list(combinations(range(places), n - 1)))
-    )
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
+                 for bars in reversed(list(combinations(range(places), n - 1))))
 
 
 def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...], int]:

@@ -431,7 +431,8 @@ def check_dimension_conservation(m_max: int) -> CheckResult:
 
 
 def _shapes(m: int) -> list[tableaux.Diagram]:
-    """The diagrams of 3m with at most three rows, in decreasing lex order."""
+    """The diagrams of 3m with at most three rows, in decreasing lex order;
+    l1 >= l2 >= l3 >= 0 puts l2 between (3m - l1) / 2 and min(l1, 3m - l1)."""
     total = 3 * m
     return [tuple(part for part in (l1, l2, total - l1 - l2) if part)
             for l1 in range(total, m - 1, -1)
