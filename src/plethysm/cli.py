@@ -11,10 +11,10 @@ Exit codes:
 
 * 0: success.
 * 1: verification failure (some check of ``verify`` failed).
-* 2: usage error, including a malformed PLETHYSM_MAX_DIM, ``--expand``
-  past the degree bound (k*m at most ``polynomials.MAX_DEGREE``) and an
-  ``--output`` file that cannot be written (checked before any work).
-* 3: instance too large (a kernel computation exceeds the size bound).
+* 2: usage error, including ``--expand`` past the degree bound (k*m at
+  most ``polynomials.MAX_DEGREE``) and an ``--output`` file that cannot be
+  written (checked before any work).
+* 3: instance too large: past a limit in ``LIMITS``, checked before any work.
 
 Code 3, and the code-2 errors named above, print one line on stderr,
 ``plethysm: error: ...`` or ``plethysm: instance too large: ...``.  Every
@@ -35,8 +35,10 @@ memory.  Two consequences:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
+import math
 import os
 import sys
 from typing import Iterable, Iterator
@@ -104,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="depth of the heavier checks (default 3)")
     p_verify.add_argument("--n", type=int, default=3,
                           help="ambient rank for oracle checks (default 3)")
-    p_verify.add_argument("--max-dim", type=int, default=None,
-                          help="kernel size bound (default PLETHYSM_MAX_DIM or 2000)")
     p_verify.add_argument("--force-printed-discriminant", action="store_true",
                           help="assert the gamma1 form of the discriminant "
                                "identity instead, which fails")
@@ -144,6 +144,27 @@ def _check_output(output: str) -> None:
     raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
 
 
+# The largest instance each command takes; at each limit a cold run kept within
+# a minute, 1 GB of memory and 1 GB of output on 2 vCPUs.  The weights are those
+# of degree 3c in n variables, c = min(--m, verify.CAPS["character_oracle"]).
+LIMITS = {"--m for k = 3": 200, "--m for k = 3 with --expand": 18, "--m for k = 2": 600_000,
+          "verify --m": 80, "verify --n": 30_000, "verify character-table weight count": 250_000}
+
+
+def _check_size(args) -> None:
+    """Raise InstanceTooLargeError if `args` is past one of ``LIMITS``."""
+    if args.command == "verify":
+        c = min(args.m, verify.CAPS["character_oracle"])
+        sizes = {"verify --m": args.m, "verify --n": args.n,
+                 "verify character-table weight count": math.comb(3 * c + args.n - 1, 3 * c)}
+    else:  # k = 2 --expand stops at the degree bound first
+        expand = " with --expand" if args.expand and args.k == 3 else ""
+        sizes = {f"--m for k = {args.k}{expand}": args.m}
+    for name, size in sizes.items():
+        if size > LIMITS[name]:
+            raise oracle.InstanceTooLargeError(f"{name} is {size}, past the limit {LIMITS[name]}")
+
+
 def _validate_common(parser: argparse.ArgumentParser, args) -> None:
     if args.m < 0:
         parser.error("--m must be nonnegative")
@@ -157,6 +178,7 @@ def _validate_common(parser: argparse.ArgumentParser, args) -> None:
 
 def cmd_decompose(parser: argparse.ArgumentParser, args) -> int:
     _validate_common(parser, args)
+    _check_size(args)
     report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
         _emit(report.json_chunks(expand=args.expand), args.output)
@@ -179,6 +201,7 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"--shape has more than k = {args.k} rows; no words exist")
     if sum(shape) != args.k * args.m:
         parser.error(f"|shape| must equal k*m = {args.k * args.m}")
+    _check_size(args)
     report = hwv.decompose(args.k, args.m, args.variant)
     if args.format == "json":
         _emit(report.json_chunks(expand=args.expand, shape=shape), args.output)
@@ -198,26 +221,15 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--m must be nonnegative")
     if args.n < 3:
         parser.error("--n must be at least 3")
-    if args.max_dim is not None and args.max_dim < 0:
-        parser.error("--max-dim must be nonnegative")
-    results = verify.run_verification(
-        m_max=args.m, n=args.n, max_dim=args.max_dim,
-        force_gamma1_variant=args.force_printed_discriminant,
-    )
+    _check_size(args)
+    results = verify.run_verification(m_max=args.m, n=args.n,
+                                      force_gamma1_variant=args.force_printed_discriminant)
     ok = all(r.passed for r in results)
     if args.format == "json":
-        obj = {
-            "passed": ok,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
+        obj = {"passed": ok, "checks": [dataclasses.asdict(r) for r in results]}
         _emit((json.dumps(obj, indent=2, ensure_ascii=False) + "\n",), args.output)
     else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results
-        ]
+        lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results]
         lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed\n")
         _emit(lines, args.output)
     return 0 if ok else 1

@@ -498,7 +498,9 @@ class DecompositionReport:
         entries = [dict(e, words=[{key: v for key, v in w.items() if key != "polynomial"}
                                   for w in e["words"]])
                    for e in obj["entries"]]
-        if dict(obj, entries=entries) != report.to_json_obj():
+        # as JSON texts, so that a float or a bool does not pass for the int it equals
+        if (json.dumps(dict(obj, entries=entries), sort_keys=True)
+                != json.dumps(report.to_json_obj(), sort_keys=True)):
             raise ValueError(f"the document is not the decomposition of "
                              f"{report.component_name()}")
         return report

@@ -26,7 +26,6 @@ point of this module is that they would not if any of those were wrong.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -38,20 +37,11 @@ from .actions import raising_operator  # noqa: F401  perfbench/tracing.py wraps 
 from .tableaux import Diagram, normalize_partition, pad
 from .tableaux import kostka  # noqa: F401  perfbench/tracing.py wraps oracle.kostka
 
+MAX_DIM = 2000  # the default bound on the dimension of one kernel weight space
+
 
 class InstanceTooLargeError(RuntimeError):
-    """Raised when a kernel computation would exceed the size bound."""
-
-
-def default_max_dim() -> int:
-    """Size bound for kernel computations; PLETHYSM_MAX_DIM overrides it.
-
-    Raises ValueError unless the variable, when set, is a non-negative integer.
-    """
-    raw = os.environ.get("PLETHYSM_MAX_DIM", "2000")
-    if not raw.strip().isdecimal():
-        raise ValueError(f"PLETHYSM_MAX_DIM must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    """Raised when an instance is past a size bound, before the work starts."""
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +293,7 @@ def rank_of_integer_matrix(rows: list[list[int]]) -> int:
 
 
 def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
-                            max_dim: int | None = None) -> int:
+                            max_dim: int = MAX_DIM) -> int:
     """Multiplicity of the weight-`shape` constituent, by exact kernel computation.
 
     Names the weight-`shape` slice of the isotypic component by its orbit
@@ -311,8 +301,7 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
     orbit coordinates (no polynomial is built), and returns the dimension of
     the joint kernel.  Any number of rows n works.  Raises ValueError unless
     `variant` is 'sym' or 'alt', and InstanceTooLargeError when the slice
-    dimension exceeds max_dim (default from PLETHYSM_MAX_DIM, else 2000),
-    before any matrix entry is computed.
+    dimension exceeds max_dim, before any matrix entry is computed.
     """
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
@@ -321,8 +310,6 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         return 0
     if sum(shape) != 3 * m:
         return 0
-    if max_dim is None:
-        max_dim = default_max_dim()
     weight = pad(shape, n)
     basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
     return len(basis) - rank_of_integer_matrix(_raising_rows(basis, variant == "alt"))

@@ -9,7 +9,7 @@ loudly as a wrong multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterator
 
@@ -250,16 +250,14 @@ def check_against_kostka_oracle(m_max: int, n: int) -> CheckResult:
     )
 
 
-def check_against_kernel_oracle(m_max: int, n: int,
-                                max_dim: int | None = None) -> CheckResult:
+def check_against_kernel_oracle(m_max: int, n: int) -> CheckResult:
     problems = []
     cases = 0
     for m, variant in _components(0, m_max):
         counts = hwv.decompose(3, m, variant).multiplicities()
         for shape in _shapes(m):
             cases += 1
-            kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant,
-                                                    max_dim=max_dim)
+            kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant)
             if kernel != counts.get(shape, 0):
                 problems.append(
                     f"m={m} {variant} {shape}: kernel {kernel}, "
@@ -443,34 +441,35 @@ def _shapes(m: int) -> list[tableaux.Diagram]:
 # the suite
 
 
-def run_verification(m_max: int = 3, n: int = 3,
-                     max_dim: int | None = None,
-                     force_gamma1_variant: bool = False) -> list[CheckResult]:
-    """Run every check; heavier checks scale with m_max and n.
+# The m (the grade, for word leading monomials) where each capped check stops.
+CAPS = {"word_grade": 8, "character_oracle": 5, "kernel_oracle": 3,
+        "standard_monomials": 3, "k2": 10, "dimension": 5}
 
-    With ``max_dim`` None the kernel bound is read from the environment once,
-    before any check runs, so a malformed PLETHYSM_MAX_DIM fails at once.
-    """
-    if max_dim is None:
-        max_dim = oracle.default_max_dim()
-    lm_grade = min(max(m_max, 4), 8)
-    results: list[CheckResult] = [
+
+def run_verification(m_max: int = 3, n: int = 3,
+                     force_gamma1_variant: bool = False) -> list[CheckResult]:
+    """Run every check; heavier checks scale with m_max and n."""
+    def capped(cap: str, check, *args) -> CheckResult:
+        """``check(min(m_max, CAPS[cap]), *args)``, saying so if it stops below m_max."""
+        result = check(min(m_max, CAPS[cap]), *args)
+        note = f"; capped at {CAPS[cap]} below m = {m_max}" if m_max > CAPS[cap] else ""
+        return replace(result, detail=result.detail + note)
+    return [
         check_generators_un_invariant(),
         check_generators_symmetry_type(),
         check_generator_grades_weights(),
         check_leading_monomial_table(),
-        check_word_leading_monomials(lm_grade),
+        capped("word_grade", lambda grade: check_word_leading_monomials(max(grade, 4))),
+        *check_discriminant(force_gamma1_variant),
+        check_phi_images(),
+        check_golden_tables(),
+        capped("character_oracle", check_against_kostka_oracle, n),
+        capped("kernel_oracle", check_against_kernel_oracle, n),
+        check_closed_form(m_max),
+        check_kostka_closed_form(max(m_max, 6)),
+        capped("standard_monomials", check_standard_monomials),
+        capped("k2", lambda _: check_k2(CAPS["k2"])),
+        check_schur_weyl_degree_one(),
+        check_specht_images(),
+        capped("dimension", check_dimension_conservation),
     ]
-    results.extend(check_discriminant(force_gamma1_variant))
-    results.append(check_phi_images())
-    results.append(check_golden_tables())
-    results.append(check_against_kostka_oracle(min(m_max, 5), n))
-    results.append(check_against_kernel_oracle(min(m_max, 3), n, max_dim=max_dim))
-    results.append(check_closed_form(m_max))
-    results.append(check_kostka_closed_form(max(m_max, 6)))
-    results.append(check_standard_monomials(min(m_max, 3)))
-    results.append(check_k2())
-    results.append(check_schur_weyl_degree_one())
-    results.append(check_specht_images())
-    results.append(check_dimension_conservation(min(m_max, 5)))
-    return results

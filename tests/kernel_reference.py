@@ -16,8 +16,8 @@ import itertools
 
 from plethysm.actions import raising_operator
 from plethysm.oracle import (
+    MAX_DIM,
     InstanceTooLargeError,
-    default_max_dim,
     monomial_exponents,
     rank_of_integer_matrix,
 )
@@ -78,7 +78,7 @@ def isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
 
 
 def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
-                            max_dim: int | None = None) -> int:
+                            max_dim: int = MAX_DIM) -> int:
     """Multiplicity of the weight-`shape` constituent, by exact kernel computation."""
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
@@ -87,8 +87,6 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         return 0
     if sum(shape) != 3 * m:
         return 0
-    if max_dim is None:
-        max_dim = default_max_dim()
     weight = pad(shape, n)
     basis = isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
     if not basis:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plethysm import hwv, tableaux, verify
+from plethysm import cli, hwv, tableaux, verify
 from plethysm.cli import main
 from plethysm.hwv import decompose
 from plethysm.polynomials import MAX_DEGREE, Polynomial
@@ -155,29 +155,46 @@ def test_hwv_k2_reads_the_decomposition(capsys):
     assert code == 0 and out == ""
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
-def test_malformed_max_dim_env_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("PLETHYSM_MAX_DIM", value)
-    assert main(["verify"]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"plethysm: error: PLETHYSM_MAX_DIM must be a non-negative integer, got {value!r}\n"
-    )
-
-
-def test_negative_max_dim_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--max-dim", "-1"])
-    assert err.value.code == 2
-    assert "--max-dim must be nonnegative" in capsys.readouterr().err
-
-
 def test_instance_too_large_exits_3(capsys):
-    assert main(["verify", "--m", "3", "--max-dim", "1"]) == 3
+    assert main(["verify", "--m", "1", "--n", "1000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("plethysm: instance too large: ")
     assert captured.err.count("\n") == 1
+
+
+class WorkStarted(Exception):
+    """Raised by a stand-in for the work a command does once its size check passes."""
+
+
+@pytest.mark.parametrize("limit, argv, size", [
+    ("--m for k = 3", ["decompose", "--m", "4"], 4),
+    ("--m for k = 3", ["hwv", "--m", "4", "--variant", "alt", "--shape", "6,6"], 4),
+    ("--m for k = 3 with --expand", ["decompose", "--m", "4", "--expand"], 4),
+    ("--m for k = 3 with --expand", ["hwv", "--m", "4", "--shape", "12", "--expand"], 4),
+    ("--m for k = 2", ["decompose", "--k", "2", "--m", "4", "--format", "json"], 4),
+    ("--m for k = 2", ["hwv", "--k", "2", "--m", "4", "--shape", "8", "--expand"], 4),
+    ("verify --m", ["verify", "--m", "4"], 4),
+    ("verify --n", ["verify", "--m", "0", "--n", "4"], 4),
+    ("verify character-table weight count", ["verify", "--m", "1", "--n", "4"], 20),
+], ids=["decompose", "hwv", "decompose-expand", "hwv-expand", "k2-decompose", "k2-hwv-expand",
+        "verify-m", "verify-n", "verify-weights"])
+def test_a_command_at_its_limit_runs_and_one_past_it_exits_3_before_any_work(
+        monkeypatch, capsys, limit, argv, size):
+    def no_work(*args, **kwargs):
+        raise WorkStarted
+
+    monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(verify, "run_verification", no_work)
+    monkeypatch.setitem(cli.LIMITS, limit, size)
+    with pytest.raises(WorkStarted):
+        main(argv)
+    monkeypatch.setitem(cli.LIMITS, limit, size - 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"plethysm: instance too large: {limit} is {size}, past the limit {size - 1}\n")
 
 
 @pytest.mark.parametrize("shape", ["1100", ",".join(["1"] * 1100)], ids=["row", "column"])
@@ -232,7 +249,7 @@ def test_expanded_output_bytes_are_pinned(tmp_path, k, m, variant, fmt):
 # sha256 of `verify` output; a change to any check's name, order or detail
 # string changes these, and the pin is updated with it
 VERIFY_SHA256 = {
-    "--m 8 --format json": "d60d537da87e7b7735078ab997b5bb9d504e7ebc97e31ef8bae39cf97d6d0714",
+    "--m 8 --format json": "7ff918ce4940a978569624bf421d7c59867bb13bf91cb498557c068efc088ac2",
     "--m 3": "00c1ec32b23e6d296139217de63e66f33266d7f59e3acfcf438b649ab1b805f5",
 }
 

@@ -239,18 +239,6 @@ def test_run_verification_builds_each_decomposition_once(monkeypatch):
     assert calls[6, "alt"] and set(calls.values()) == {1}
 
 
-def test_run_verification_reads_a_malformed_max_dim_before_any_check(monkeypatch):
-    def no_check(*args, **kwargs):
-        raise AssertionError("a check ran")
-
-    for name in dir(verify):
-        if name.startswith("check_"):
-            monkeypatch.setattr(verify, name, no_check)
-    monkeypatch.setenv("PLETHYSM_MAX_DIM", "abc")
-    with pytest.raises(ValueError, match="PLETHYSM_MAX_DIM"):
-        verify.run_verification(3)
-
-
 def test_decompose_rejects_unknown_k():
     with pytest.raises(ValueError):
         decompose(4, 2, "sym")
@@ -272,15 +260,18 @@ def test_report_rejects_a_multiplicity_that_disagrees_with_its_words():
         DecompositionReport.from_json_obj(obj)
 
 
-@pytest.mark.parametrize("change", [
-    lambda obj: obj["entries"][0].update(diagram=[1, 1]),
-    lambda obj: obj.update(m=5),
-    lambda obj: obj["entries"].reverse(),
-    lambda obj: obj.update(variant="alt"),
-    lambda obj: obj.update(k=2),
-], ids=["diagram", "m", "order", "variant", "k"])
-def test_report_rejects_a_document_that_is_not_its_decomposition(change):
-    obj = json.loads(verify.load_golden_text(6, "sym"))
+@pytest.mark.parametrize("m, change", [
+    (6, lambda obj: obj["entries"][0].update(diagram=[1, 1])),
+    (6, lambda obj: obj.update(m=5)),
+    (6, lambda obj: obj["entries"].reverse()),
+    (6, lambda obj: obj.update(variant="alt")),
+    (6, lambda obj: obj.update(k=2)),
+    # equal to the ints they replace, but not ints
+    (1, lambda obj: obj["entries"][0].update(diagram=[3.0])),
+    (1, lambda obj: obj["entries"][0]["words"][0].update(a=True)),
+], ids=["diagram", "m", "order", "variant", "k", "diagram-float", "word-bool"])
+def test_report_rejects_a_document_that_is_not_its_decomposition(m, change):
+    obj = json.loads(verify.load_golden_text(m, "sym"))
     change(obj)
     with pytest.raises(ValueError, match="not the decomposition of"):
         DecompositionReport.from_json_obj(obj)

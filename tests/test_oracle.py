@@ -249,14 +249,6 @@ def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
     assert yields == 851
 
 
-def test_kernel_env_override(monkeypatch):
-    monkeypatch.setenv("PLETHYSM_MAX_DIM", "1")
-    with pytest.raises(InstanceTooLargeError):
-        hwv_kernel_multiplicity(3, 3, (4, 4, 1), "sym")
-    monkeypatch.setenv("PLETHYSM_MAX_DIM", "2000")
-    assert hwv_kernel_multiplicity(3, 3, (4, 4, 1), "sym") == 1
-
-
 PRIME = 2**61 - 1
 
 

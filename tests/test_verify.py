@@ -24,8 +24,8 @@ def _kostka_oracle(original):
 
 
 def _kernel_oracle(original):
-    def one_more(m, n, shape, variant, max_dim=None):
-        return original(m, n, shape, variant, max_dim=max_dim) + (m == 3 and shape == (9,))
+    def one_more(m, n, shape, variant, **kwargs):
+        return original(m, n, shape, variant, **kwargs) + (m == 3 and shape == (9,))
     return one_more
 
 
@@ -77,3 +77,15 @@ def test_a_wrong_shape_or_oracle_value_fails_its_check(monkeypatch, module, name
     result = check()
     assert result.passed is False
     assert broken in result.detail
+
+
+def test_a_check_stopped_below_m_max_says_so():
+    capped = {"word-leading-monomials": 8, "basis-vs-kostka-oracle": 5,
+              "basis-vs-kernel-oracle": 3, "standard-monomial-vectors": 3,
+              "pair-case-complete": 10, "dimension-conservation": 5}
+    assert sorted(capped.values()) == sorted(verify.CAPS.values())
+    for m_max in (3, 11):
+        for result in verify.run_verification(m_max):
+            cap = capped.get(result.name, m_max)
+            assert result.passed
+            assert result.detail.endswith(f"; capped at {cap} below m = {m_max}") == (cap < m_max)
