@@ -11,10 +11,13 @@ Exit codes:
 
 * 0: success.
 * 1: verification failure (some check of ``verify`` failed).
-* 2: usage error, including ``--expand`` past the degree bound (k*m at
-  most ``polynomials.MAX_DEGREE``) and an ``--output`` file that cannot be
-  written (checked before any work).
-* 3: instance too large: past a limit in ``LIMITS``, checked before any work.
+* 2: usage error, including an ``--output`` file that cannot be written
+  (checked before any work).
+* 3: instance too large: ``--m`` past its limit in ``LIMITS``, checked
+  before any work.
+
+No command takes ``--n``: each constituent has at most three rows and the same
+multiplicity for every n >= 3, so ``verify`` runs its oracles at n = 3.
 
 Code 3, and the code-2 errors named above, print one line on stderr,
 ``plethysm: error: ...`` or ``plethysm: instance too large: ...``.  Every
@@ -38,7 +41,6 @@ import argparse
 import dataclasses
 import errno
 import json
-import math
 import os
 import sys
 from typing import Iterable, Iterator
@@ -104,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the self-check suite")
     p_verify.add_argument("--m", type=int, default=3,
                           help="depth of the heavier checks (default 3)")
-    p_verify.add_argument("--n", type=int, default=3,
-                          help="ambient rank for oracle checks (default 3)")
-    p_verify.add_argument("--force-printed-discriminant", action="store_true",
-                          help="assert the gamma1 form of the discriminant "
-                               "identity instead, which fails")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--output", help="write to this file instead of stdout")
     return parser
@@ -144,25 +141,21 @@ def _check_output(output: str) -> None:
     raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
 
 
-# The largest instance each command takes; at each limit a cold run kept within
-# a minute, 1 GB of memory and 1 GB of output on 2 vCPUs.  The weights are those
-# of degree 3c in n variables, c = min(--m, verify.CAPS["character_oracle"]).
+# The largest --m each command takes; at each limit a cold run kept within a
+# minute, 1 GB of memory and 1 GB of output on 2 vCPUs.  For k = 2 with
+# --expand the limit is the degree bound: 2m at most polynomials.MAX_DEGREE.
 LIMITS = {"--m for k = 3": 200, "--m for k = 3 with --expand": 18, "--m for k = 2": 600_000,
-          "verify --m": 80, "verify --n": 30_000, "verify character-table weight count": 250_000}
+          "--m for k = 2 with --expand": polynomials.MAX_DEGREE // 2, "verify --m": 80}
 
 
 def _check_size(args) -> None:
-    """Raise InstanceTooLargeError if `args` is past one of ``LIMITS``."""
+    """Raise InstanceTooLargeError if ``args.m`` is past its entry in ``LIMITS``."""
     if args.command == "verify":
-        c = min(args.m, verify.CAPS["character_oracle"])
-        sizes = {"verify --m": args.m, "verify --n": args.n,
-                 "verify character-table weight count": math.comb(3 * c + args.n - 1, 3 * c)}
-    else:  # k = 2 --expand stops at the degree bound first
-        expand = " with --expand" if args.expand and args.k == 3 else ""
-        sizes = {f"--m for k = {args.k}{expand}": args.m}
-    for name, size in sizes.items():
-        if size > LIMITS[name]:
-            raise oracle.InstanceTooLargeError(f"{name} is {size}, past the limit {LIMITS[name]}")
+        name = "verify --m"
+    else:
+        name = f"--m for k = {args.k}" + (" with --expand" if args.expand else "")
+    if args.m > LIMITS[name]:
+        raise oracle.InstanceTooLargeError(f"{name} is {args.m}, past the limit {LIMITS[name]}")
 
 
 def _validate_common(parser: argparse.ArgumentParser, args) -> None:
@@ -170,10 +163,6 @@ def _validate_common(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--m must be nonnegative")
     if args.variant == "alt" and args.m < 1:
         parser.error("the alternating component needs --m >= 1")
-    if args.expand and args.k * args.m > polynomials.MAX_DEGREE:
-        # ValueError rather than parser.error: one line on stderr, before any work
-        raise ValueError(f"--expand needs k*m <= {polynomials.MAX_DEGREE}, "
-                         f"got {args.k * args.m}")
 
 
 def cmd_decompose(parser: argparse.ArgumentParser, args) -> int:
@@ -219,11 +208,8 @@ def cmd_kostka(parser: argparse.ArgumentParser, args) -> int:
 def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     if args.m < 0:
         parser.error("--m must be nonnegative")
-    if args.n < 3:
-        parser.error("--n must be at least 3")
     _check_size(args)
-    results = verify.run_verification(m_max=args.m, n=args.n,
-                                      force_gamma1_variant=args.force_printed_discriminant)
+    results = verify.run_verification(m_max=args.m)
     ok = all(r.passed for r in results)
     if args.format == "json":
         obj = {"passed": ok, "checks": [dataclasses.asdict(r) for r in results]}

@@ -8,7 +8,8 @@ are S_k-invariant or sign-equivariant therefore enumerate the irreducible
 constituents of the plethysms.
 
 For k = 3 every such vector is a monomial word in seven generators built from
-the 2x2 minors delta[i][j] of the top two rows and the 3x3 determinant:
+the 2x2 minors delta[i][j] = tableaux.column_minor((i, j)) of the top two rows
+and the 3x3 determinant:
 
     alpha1 = x[1][1]*x[1][2]*x[1][3]
     beta2  = x[1][2]*delta[1][3],   beta3 = x[1][3]*delta[1][2]
@@ -66,22 +67,17 @@ class BadShapeError(ValueError):
     """Raised for weights that cannot index a constituent here."""
 
 
-def delta_minor(i: int, j: int) -> Polynomial:
-    """The 2x2 minor on rows 1, 2 and columns i, j."""
-    return variable(1, i) * variable(2, j) - variable(2, i) * variable(1, j)
-
-
 @lru_cache(maxsize=None)
 def generators_k3() -> dict[str, Polynomial]:
     """The seven named generators for k = 3, on rows 1..3 of the matrix."""
     x = variable
     alpha1 = x(1, 1) * x(1, 2) * x(1, 3)
-    beta2 = x(1, 2) * delta_minor(1, 3)
-    beta3 = x(1, 3) * delta_minor(1, 2)
+    beta2 = x(1, 2) * column_minor((1, 3))
+    beta3 = x(1, 3) * column_minor((1, 2))
     alpha2 = beta2 ** 2 + beta3 ** 2 - beta2 * beta3
     alpha3 = 2 * (beta2 ** 3 + beta3 ** 3) - 3 * (beta2 ** 2 * beta3 + beta2 * beta3 ** 2)
     gamma1 = column_minor((1, 2, 3))
-    gamma2 = delta_minor(1, 2) * delta_minor(1, 3) * delta_minor(2, 3)
+    gamma2 = column_minor((1, 2)) * column_minor((1, 3)) * column_minor((2, 3))
     return {
         "alpha1": alpha1,
         "beta2": beta2,
@@ -96,7 +92,7 @@ def generators_k3() -> dict[str, Polynomial]:
 @lru_cache(maxsize=None)
 def generators_k2() -> dict[str, Polynomial]:
     """The two generators for k = 2: alpha = x[1][1]*x[1][2], gamma = delta[1][2]."""
-    return {"alpha": variable(1, 1) * variable(1, 2), "gamma": delta_minor(1, 2)}
+    return {"alpha": variable(1, 1) * variable(1, 2), "gamma": column_minor((1, 2))}
 
 
 def beta_general(k: int, i: int) -> Polynomial:
@@ -114,7 +110,7 @@ def beta_general(k: int, i: int) -> Polynomial:
     """
     if not 2 <= i <= k:
         raise ValueError(f"beta index must satisfy 2 <= i <= k, got i={i}, k={k}")
-    poly = delta_minor(1, i)
+    poly = column_minor((1, i))
     for j in range(2, k + 1):
         if j != i:
             poly = poly * variable(1, j)

@@ -164,32 +164,20 @@ def check_word_leading_monomials(max_grade: int) -> CheckResult:
     )
 
 
-def check_discriminant(force_gamma1_variant: bool = False) -> list[CheckResult]:
+def check_discriminant() -> list[CheckResult]:
     outcome = hwv.verify_discriminant_relation()
-    results = [
+    return [
         CheckResult(
             "discriminant-identity",
             outcome.corrected_holds,
             "4*alpha2^3 - alpha3^2 == 27*alpha1^2*gamma2^2",
-        )
+        ),
+        CheckResult(
+            "discriminant-gamma1-variant-fails",
+            not outcome.gamma1_variant_holds,
+            "the gamma1 form of the identity fails, as the gradings force",
+        ),
     ]
-    if force_gamma1_variant:
-        results.append(
-            CheckResult(
-                "alpha23-printed-variant",
-                outcome.gamma1_variant_holds,
-                "gamma1 variant asserted to hold",
-            )
-        )
-    else:
-        results.append(
-            CheckResult(
-                "discriminant-gamma1-variant-fails",
-                not outcome.gamma1_variant_holds,
-                "the gamma1 form of the identity fails, as the gradings force",
-            )
-        )
-    return results
 
 
 def check_phi_images() -> CheckResult:
@@ -446,8 +434,7 @@ CAPS = {"word_grade": 8, "character_oracle": 5, "kernel_oracle": 3,
         "standard_monomials": 3, "k2": 10, "dimension": 5}
 
 
-def run_verification(m_max: int = 3, n: int = 3,
-                     force_gamma1_variant: bool = False) -> list[CheckResult]:
+def run_verification(m_max: int = 3, n: int = 3) -> list[CheckResult]:
     """Run every check; heavier checks scale with m_max and n."""
     def capped(cap: str, check, *args) -> CheckResult:
         """``check(min(m_max, CAPS[cap]), *args)``, saying so if it stops below m_max."""
@@ -460,7 +447,7 @@ def run_verification(m_max: int = 3, n: int = 3,
         check_generator_grades_weights(),
         check_leading_monomial_table(),
         capped("word_grade", lambda grade: check_word_leading_monomials(max(grade, 4))),
-        *check_discriminant(force_gamma1_variant),
+        *check_discriminant(),
         check_phi_images(),
         check_golden_tables(),
         capped("character_oracle", check_against_kostka_oracle, n),

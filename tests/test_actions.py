@@ -16,8 +16,9 @@ from plethysm.actions import (
     symmetrize,
     transposition,
 )
-from plethysm.hwv import beta_general, delta_minor, generators_k3, t_general
+from plethysm.hwv import beta_general, generators_k3, t_general
 from plethysm.polynomials import Monomial, Polynomial, ZeroPolynomialError, variable
+from plethysm.tableaux import column_minor
 
 
 def x(i, j):
@@ -179,8 +180,8 @@ def test_raising_operator_inserts_past_a_populated_middle_row():
 
 
 def test_raising_kills_minors():
-    assert raising_operator(delta_minor(1, 2), 1, 2) == 0
-    assert raising_operator(delta_minor(1, 3), 1, 2) == 0
+    assert raising_operator(column_minor((1, 2)), 1, 2) == 0
+    assert raising_operator(column_minor((1, 3)), 1, 2) == 0
 
 
 def test_is_un_invariant():

@@ -99,16 +99,20 @@ def test_verify_passes(capsys):
     assert "checks passed" in out
 
 
-def test_verify_past_the_recursion_limit(capsys):
-    code, out = run(capsys, "verify", "--m", "0", "--n", "1000")
-    assert code == 0
-    assert out.endswith("18/18 checks passed\n")
-
-
-def test_verify_forced_discriminant_fails(capsys):
-    code, out = run(capsys, "verify", "--m", "2", "--force-printed-discriminant")
+def test_verify_forced_discriminant_fails(monkeypatch, capsys):
+    """The only test of exit 1: the printed gamma1 form is made to hold."""
+    monkeypatch.setattr(hwv, "verify_discriminant_relation",
+                        lambda: hwv.DiscriminantCheck(corrected_holds=True,
+                                                      gamma1_variant_holds=True))
+    code, out = run(capsys, "verify", "--m", "2")
     assert code == 1
-    assert "FAIL alpha23-printed-variant" in out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL discriminant-gamma1-variant-fails: "
+        "the gamma1 form of the identity fails, as the gradings force"]
+    assert out.endswith("17/18 checks passed\n")
+    code, out = run(capsys, "verify", "--m", "2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_verify_json(capsys):
@@ -132,13 +136,14 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["decompose", "--m", "-1"],
         ["decompose", "--m", "0", "--variant", "alt"],
-        ["decompose", "--m", "2", "--n", "4"],  # --n is only an option of verify
+        ["decompose", "--m", "2", "--n", "4"],  # no command takes --n
         ["decompose", "--m", "2", "--k", "4"],
         ["hwv", "--m", "2", "--shape", "3,2,1,1"],
         ["hwv", "--m", "2", "--shape", "5,2"],
         ["hwv", "--m", "2", "--shape", "1,2"],
         ["kostka", "--shape", "2,1"],
-        ["verify", "--n", "2"],
+        ["verify", "--n", "4"],
+        ["verify", "--force-printed-discriminant"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -156,7 +161,7 @@ def test_hwv_k2_reads_the_decomposition(capsys):
 
 
 def test_instance_too_large_exits_3(capsys):
-    assert main(["verify", "--m", "1", "--n", "1000"]) == 3
+    assert main(["verify", "--m", "81"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("plethysm: instance too large: ")
@@ -173,12 +178,11 @@ class WorkStarted(Exception):
     ("--m for k = 3 with --expand", ["decompose", "--m", "4", "--expand"], 4),
     ("--m for k = 3 with --expand", ["hwv", "--m", "4", "--shape", "12", "--expand"], 4),
     ("--m for k = 2", ["decompose", "--k", "2", "--m", "4", "--format", "json"], 4),
-    ("--m for k = 2", ["hwv", "--k", "2", "--m", "4", "--shape", "8", "--expand"], 4),
+    ("--m for k = 2 with --expand", ["decompose", "--k", "2", "--m", "4", "--expand"], 4),
+    ("--m for k = 2 with --expand", ["hwv", "--k", "2", "--m", "4", "--shape", "8", "--expand"], 4),
     ("verify --m", ["verify", "--m", "4"], 4),
-    ("verify --n", ["verify", "--m", "0", "--n", "4"], 4),
-    ("verify character-table weight count", ["verify", "--m", "1", "--n", "4"], 20),
-], ids=["decompose", "hwv", "decompose-expand", "hwv-expand", "k2-decompose", "k2-hwv-expand",
-        "verify-m", "verify-n", "verify-weights"])
+], ids=["decompose", "hwv", "decompose-expand", "hwv-expand", "k2-decompose",
+        "k2-decompose-expand", "k2-hwv-expand", "verify-m"])
 def test_a_command_at_its_limit_runs_and_one_past_it_exits_3_before_any_work(
         monkeypatch, capsys, limit, argv, size):
     def no_work(*args, **kwargs):
@@ -267,20 +271,30 @@ def test_verify_output_bytes_are_pinned(tmp_path, args):
     ["decompose", "--k", "2", "--m", "128", "--variant", "alt", "--expand"],
     ["hwv", "--m", "86", "--shape", "258", "--expand"],
 ])
-def test_expand_past_the_degree_bound_exits_2_before_any_work(monkeypatch, capsys, argv):
+def test_expand_past_the_degree_bound_exits_3_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args):
         raise AssertionError("work started")
 
     monkeypatch.setattr(hwv, "decompose", no_work)
     monkeypatch.setattr(hwv.GeneratorWord, "expand", no_work)
     monkeypatch.setattr(hwv.WordK2, "expand", no_work)
-    assert main(argv) == 2
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    k_times_m = 2 * 128 if "--k" in argv else 3 * 86
+    k, m = (2 if "--k" in argv else 3), int(argv[argv.index("--m") + 1])
+    assert k * m > MAX_DEGREE
+    name = f"--m for k = {k} with --expand"
     assert captured.err == (
-        f"plethysm: error: --expand needs k*m <= {MAX_DEGREE}, got {k_times_m}\n"
+        f"plethysm: instance too large: {name} is {m}, past the limit {cli.LIMITS[name]}\n"
     )
+
+
+def test_k2_expand_runs_at_the_degree_bound(capsys):
+    assert cli.LIMITS["--m for k = 2 with --expand"] == 127 == MAX_DEGREE // 2
+    code, out = run(capsys, "decompose", "--k", "2", "--m", "127", "--variant", "alt",
+                    "--expand", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == 64  # one per odd gamma power
 
 
 @pytest.mark.parametrize("argv", [["decompose", "--m", "2"], ["verify", "--m", "1"]],

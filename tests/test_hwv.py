@@ -18,7 +18,6 @@ from plethysm.hwv import (
     GeneratorWord,
     WordK2,
     decompose,
-    delta_minor,
     enumerate_basis,
     generators_k2,
     generators_k3,
@@ -27,16 +26,17 @@ from plethysm.hwv import (
     words_for_weight,
 )
 from plethysm.polynomials import Monomial, variable
+from plethysm.tableaux import column_minor
 
 
 def test_generator_shapes():
     g = generators_k3()
     x = variable
     assert g["alpha1"] == x(1, 1) * x(1, 2) * x(1, 3)
-    assert g["beta2"] == x(1, 2) * delta_minor(1, 3)
-    assert g["beta3"] == x(1, 3) * delta_minor(1, 2)
+    assert g["beta2"] == x(1, 2) * column_minor((1, 3))
+    assert g["beta3"] == x(1, 3) * column_minor((1, 2))
     # the three products x[1][i]*delta[j][k] satisfy the Pluecker relation
-    assert g["beta2"] - g["beta3"] == x(1, 1) * delta_minor(2, 3)
+    assert g["beta2"] - g["beta3"] == x(1, 1) * column_minor((2, 3))
 
 
 def test_generator_grades_and_weights():
@@ -326,7 +326,7 @@ def test_k2_words():
     g = generators_k2()
     x = variable
     assert g["alpha"] == x(1, 1) * x(1, 2)
-    assert g["gamma"] == delta_minor(1, 2)
+    assert g["gamma"] == column_minor((1, 2))
     assert [(w.i, w.j) for w in _k2_words(3, "sym")] == [(3, 0), (1, 2)]
     assert [(w.i, w.j) for w in _k2_words(3, "alt")] == [(2, 1), (0, 3)]
     with pytest.raises(ValueError):

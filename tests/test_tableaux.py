@@ -184,6 +184,13 @@ def test_column_minor_is_gamma1():
         column_minor((2, 2))
 
 
+def test_two_column_minors_are_the_generators_deltas():
+    """hwv builds delta[i][j] from column_minor((i, j)): rows 1, 2, columns i, j."""
+    x = variable
+    for i, j in itertools.combinations(range(1, 5), 2):
+        assert column_minor((i, j)) == x(1, i) * x(2, j) - x(2, i) * x(1, j)
+
+
 def test_delta_tableau_examples():
     x = variable
     row = Tableau(((1, 2, 3),))

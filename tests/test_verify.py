@@ -89,3 +89,10 @@ def test_a_check_stopped_below_m_max_says_so():
             cap = capped.get(result.name, m_max)
             assert result.passed
             assert result.detail.endswith(f"; capped at {cap} below m = {m_max}") == (cap < m_max)
+
+
+def test_run_verification_past_the_recursion_limit():
+    """A thousand variables, listed with no recursion, at m = 0."""
+    results = verify.run_verification(0, 1000)
+    assert len(results) == 18
+    assert all(result.passed for result in results)
