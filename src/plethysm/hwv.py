@@ -48,7 +48,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .polynomials import Polynomial, variable
 from .tableaux import Diagram, column_minor, normalize_partition, pad
@@ -68,8 +69,8 @@ class BadShapeError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def generators_k3() -> dict[str, Polynomial]:
-    """The seven named generators for k = 3, on rows 1..3 of the matrix."""
+def generators_k3() -> Mapping[str, Polynomial]:
+    """The seven named generators for k = 3, on rows 1..3 of the matrix, read-only."""
     x = variable
     alpha1 = x(1, 1) * x(1, 2) * x(1, 3)
     beta2 = x(1, 2) * column_minor((1, 3))
@@ -78,7 +79,7 @@ def generators_k3() -> dict[str, Polynomial]:
     alpha3 = 2 * (beta2 ** 3 + beta3 ** 3) - 3 * (beta2 ** 2 * beta3 + beta2 * beta3 ** 2)
     gamma1 = column_minor((1, 2, 3))
     gamma2 = column_minor((1, 2)) * column_minor((1, 3)) * column_minor((2, 3))
-    return {
+    return MappingProxyType({
         "alpha1": alpha1,
         "beta2": beta2,
         "beta3": beta3,
@@ -86,13 +87,14 @@ def generators_k3() -> dict[str, Polynomial]:
         "alpha3": alpha3,
         "gamma1": gamma1,
         "gamma2": gamma2,
-    }
+    })
 
 
 @lru_cache(maxsize=None)
-def generators_k2() -> dict[str, Polynomial]:
+def generators_k2() -> Mapping[str, Polynomial]:
     """The two generators for k = 2: alpha = x[1][1]*x[1][2], gamma = delta[1][2]."""
-    return {"alpha": variable(1, 1) * variable(1, 2), "gamma": column_minor((1, 2))}
+    return MappingProxyType({"alpha": variable(1, 1) * variable(1, 2),
+                             "gamma": column_minor((1, 2))})
 
 
 def beta_general(k: int, i: int) -> Polynomial:
@@ -129,7 +131,6 @@ def t_general(k: int, i: int) -> Polynomial:
     return t1 - k * beta_general(k, i)
 
 
-@lru_cache(maxsize=None)
 def phi_images_k3() -> dict[str, Polynomial]:
     """Images of the elementary symmetric functions and the Vandermonde in the T_i.
 
@@ -444,8 +445,8 @@ class DecompositionReport:
             ],
         }
 
-    def to_json_text(self, expand: bool = False, shape: Diagram | None = None) -> str:
-        return "".join(self.json_chunks(expand, shape))
+    def to_json_text(self, expand: bool = False) -> str:
+        return "".join(self.json_chunks(expand))
 
     def json_chunks(self, expand: bool = False,
                     shape: Diagram | None = None) -> Iterator[str]:

@@ -260,10 +260,9 @@ def rank_of_integer_matrix(rows: list[list[int]]) -> int:
     if not rows:
         return 0
     ncols = len(rows[0])
-    # repeated rows change neither rank nor kernel; sparse rows first keep
-    # the pivot rows sparse
-    sparse = sorted(({j: a for j, a in enumerate(row) if a} for row in set(map(tuple, rows))),
-                    key=len)
+    # sparse rows first keep the pivot rows sparse; a stable sort keeps the
+    # given order within a length, and a repeated row reduces to zero
+    sparse = sorted(({j: a for j, a in enumerate(row) if a} for row in rows), key=len)
     # primitive pivot rows, by leading column
     pivots: dict[int, dict[int, int]] = {}
     for r in sparse:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
-from types import MappingProxyType
 
 from .actions import permutation_sign
 from .polynomials import Monomial, Polynomial, variable
@@ -96,9 +94,6 @@ class Tableau:
     def __repr__(self) -> str:
         return f"Tableau({self})"
 
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 def _strips(inner: Diagram, outer: Diagram, size: int) -> list[Diagram]:
     """The diagrams inside `outer` that add a horizontal `size`-strip to `inner`.
@@ -150,8 +145,7 @@ def enumerate_sst(shape, content) -> list[Tableau]:
     return sorted(map(Tableau, fillings), key=Tableau.row_reading_word)
 
 
-@lru_cache(maxsize=None)
-def kostka_within(outer: Diagram, content: tuple[int, ...]) -> MappingProxyType[Diagram, int]:
+def kostka_within(outer: Diagram, content: tuple[int, ...]) -> Counter[Diagram]:
     """K(λ, content) for every diagram λ inside `outer` that has a tableau.
 
     By the Pieri rule h_r·s_μ is the sum of s_λ over the λ that add a
@@ -159,7 +153,7 @@ def kostka_within(outer: Diagram, content: tuple[int, ...]) -> MappingProxyType[
     is built one letter at a time (Macdonald I.5.16 and I.6): from the empty
     diagram, letter t adds a strip of content[t-1] cells, counting the ways
     to reach each diagram and keeping those inside `outer`.  There is no
-    recursion, so the content may be arbitrarily long.  The table is cached.
+    recursion, so the content may be arbitrarily long.
     """
     if any(c < 0 for c in content):
         raise ValueError(f"negative content {content}")
@@ -170,7 +164,7 @@ def kostka_within(outer: Diagram, content: tuple[int, ...]) -> MappingProxyType[
             for diagram in _strips(inner, outer, size):
                 grown[diagram] += count
         counts = grown
-    return MappingProxyType(counts)
+    return counts
 
 
 def kostka(shape, content) -> int:

@@ -35,19 +35,17 @@ class CheckResult:
     detail: str
 
 
-def golden_resource(m: int, variant: str):
-    return resources.files("plethysm").joinpath(f"data/golden/k3_m{m}_{variant}.json")
-
-
 def load_golden_text(m: int, variant: str) -> str:
-    return golden_resource(m, variant).read_text(encoding="utf-8")
+    golden = resources.files("plethysm").joinpath(f"data/golden/k3_m{m}_{variant}.json")
+    return golden.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def check_generators_un_invariant(n: int = 4) -> CheckResult:
+def check_generators_un_invariant() -> CheckResult:
+    n = 4
     gens = hwv.generators_k3()
     bad = [
         name
@@ -296,7 +294,8 @@ def check_kostka_closed_form(m_max: int) -> CheckResult:
     )
 
 
-def check_standard_monomials(m_max: int, n: int = 4) -> CheckResult:
+def check_standard_monomials(m_max: int) -> CheckResult:
+    n = 4
     problems = []
     cases = 0
     for m in range(0, m_max + 1):
@@ -323,7 +322,7 @@ def check_standard_monomials(m_max: int, n: int = 4) -> CheckResult:
     )
 
 
-def check_k2(m_max: int = 10) -> CheckResult:
+def check_k2(m_max: int) -> CheckResult:
     problems = []
     for m, variant in _components(0, m_max):
         report = hwv.decompose(2, m, variant)

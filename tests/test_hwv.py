@@ -25,7 +25,7 @@ from plethysm.hwv import (
     verify_discriminant_relation,
     words_for_weight,
 )
-from plethysm.polynomials import Monomial, variable
+from plethysm.polynomials import Monomial, Polynomial, variable
 from plethysm.tableaux import column_minor
 
 
@@ -37,6 +37,16 @@ def test_generator_shapes():
     assert g["beta3"] == x(1, 3) * column_minor((1, 2))
     # the three products x[1][i]*delta[j][k] satisfy the Pluecker relation
     assert g["beta2"] - g["beta3"] == x(1, 1) * column_minor((2, 3))
+
+
+def test_cached_generators_are_read_only():
+    # both tables are shared by every later caller in the process
+    with pytest.raises(TypeError):
+        generators_k3()["alpha1"] = Polynomial.zero()
+    with pytest.raises(TypeError):
+        generators_k2()["alpha"] = Polynomial.zero()
+    [word] = decompose(3, 1, "sym").words()
+    assert str(word.expand()) == "x[1][1]*x[1][2]*x[1][3]"
 
 
 def test_generator_grades_and_weights():

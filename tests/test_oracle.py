@@ -267,6 +267,8 @@ def test_rank_of_integer_matrix():
     assert rank_of_integer_matrix([[1, -(2**40)]]) == 1
     assert rank_of_integer_matrix([[1, 2], [2, 4], [3, 6]]) == 1
     assert rank_of_integer_matrix([[3, 0, 6], [0, 7, 14]]) == 2
+    # repeated rows go through the elimination and reduce to zero
+    assert rank_of_integer_matrix([[1, 2, 0], [0, 3, 5]] * 40) == 2
 
 
 entries = st.one_of(

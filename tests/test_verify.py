@@ -1,5 +1,8 @@
-"""The self-check suite: its shape lister, and the failure path of the checks
-that read that lister or an oracle."""
+"""The self-check suite: its shape lister, the failure path of the checks
+that read that lister or an oracle, and the package's rule of no recursion."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +99,21 @@ def test_run_verification_past_the_recursion_limit():
     results = verify.run_verification(0, 1000)
     assert len(results) == 18
     assert all(result.passed for result in results)
+
+
+def test_no_function_in_the_package_calls_itself():
+    """The recursion-limit tests rely on the package never recursing: no
+    function calls itself by bare name or through ``self.`` or ``cls.``."""
+    calls = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(callee, ast.Name) and callee.id == func.name
+                        or isinstance(callee, ast.Attribute) and callee.attr == func.name
+                        and isinstance(callee.value, ast.Name)
+                        and callee.value.id in ("self", "cls")):
+                    calls.append(f"{path.name}:{node.lineno} {func.name}")
+    assert calls == []
