@@ -13,8 +13,8 @@ Exit codes:
 * 1: verification failure (some check of ``verify`` failed).
 * 2: usage error, including an ``--output`` file that cannot be written
   (checked before any work).
-* 3: instance too large: ``--m`` past its limit in ``LIMITS``, checked
-  before any work.
+* 3: instance too large: ``--m``, or the diagrams inside ``kostka --shape``,
+  past its limit in ``LIMITS``, checked before any work.
 
 No command takes ``--n``: each constituent has at most three rows and the same
 multiplicity for every n >= 3, so ``verify`` runs its oracles at n = 3.
@@ -43,6 +43,7 @@ import errno
 import json
 import os
 import sys
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from . import hwv, oracle, polynomials, tableaux, verify
@@ -141,15 +142,42 @@ def _check_output(output: str) -> None:
     raise ValueError(f"cannot write {output}: {os.strerror(reason)}")
 
 
-# The largest --m each command takes; at each limit a cold run kept within a
-# minute, 1 GB of memory and 1 GB of output on 2 vCPUs.  For k = 2 with
-# --expand the limit is the degree bound: 2m at most polynomials.MAX_DEGREE.
+# The largest --m each command takes, and the most diagrams `kostka` may find
+# inside --shape; at each limit a cold run kept within a minute, 1 GB of
+# memory and 1 GB of output on 2 vCPUs.  For k = 2 with --expand the limit is
+# the degree bound: 2m at most polynomials.MAX_DEGREE.
 LIMITS = {"--m for k = 3": 200, "--m for k = 3 with --expand": 18, "--m for k = 2": 600_000,
-          "--m for k = 2 with --expand": polynomials.MAX_DEGREE // 2, "verify --m": 80}
+          "--m for k = 2 with --expand": polynomials.MAX_DEGREE // 2, "verify --m": 80,
+          "diagrams inside kostka --shape": 500_000}
+
+
+def _diagrams_inside(shape: tuple[int, ...], cap: int) -> int:
+    """The number of diagrams inside `shape`, or cap + 1 once it is past `cap`.
+
+    These are the states of the Pieri pass in `tableaux.kostka`.  A chain of
+    diagrams from () to the shape holds |shape| + 1 of them, so a shape of
+    `cap` cells or more is past at once.  Otherwise they are counted row by
+    row, each entry at most `cap`: ways[v] counts the diagrams inside the rows
+    so far whose last row has v cells, and the next row has at most v.
+    """
+    shape = tableaux.normalize_partition(shape)
+    if sum(shape) >= cap:
+        return cap + 1
+    ways = [1] * (shape[0] + 1) if shape else [1]
+    for length in shape[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][:length + 1]
+        if ways[0] > cap:  # the diagrams inside the rows before this one
+            return cap + 1
+    return min(sum(ways), cap + 1)
 
 
 def _check_size(args) -> None:
-    """Raise InstanceTooLargeError if ``args.m`` is past its entry in ``LIMITS``."""
+    """Raise InstanceTooLargeError if the instance is past its entry in ``LIMITS``."""
+    if args.command == "kostka":
+        name = "diagrams inside kostka --shape"
+        if _diagrams_inside(args.shape, LIMITS[name]) > LIMITS[name]:
+            raise oracle.InstanceTooLargeError(f"{name} are past the limit {LIMITS[name]}")
+        return
     if args.command == "verify":
         name = "verify --m"
     else:
@@ -200,6 +228,7 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_kostka(parser: argparse.ArgumentParser, args) -> int:
+    _check_size(args)
     value = tableaux.kostka(args.shape, args.content)
     _emit((f"{value}\n",), args.output)
     return 0

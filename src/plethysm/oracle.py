@@ -7,9 +7,11 @@ Two cross-checks that share no code with the word enumeration:
    total exponent vector (3-subsets of distinct monomials for Λ^3).  The
    whole table comes from the cycle index of S_3 applied to the character
    f of S^m(C^n), (f³ ± 3·f·p_2[f] + 2·p_3[f]) / 6, computed on weights
-   packed into ints.  Multiplying the character by the Vandermonde a_δ and
-   reading the coefficient of x^(λ+δ) gives the multiplicity of the
-   weight-λ constituent, which inverts the Kostka matrix in closed form.
+   packed into ints; the three sums are convolved once per (m, n) and serve
+   both signs.  Multiplying the character by the Vandermonde a_δ and reading
+   the coefficient of x^(λ+δ) gives the multiplicity of the weight-λ
+   constituent, which inverts the Kostka matrix in closed form.  It is read
+   off in one pass over the table, with one sign per sort order.
 
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
@@ -55,34 +57,16 @@ def monomial_exponents(m: int, n: int) -> tuple[tuple[int, ...], ...]:
                  for bars in reversed(list(combinations(range(places), n - 1))))
 
 
-def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...], int]:
-    """Weight-space dimensions of S^3(S^m(C^n)) or Λ^3(S^m(C^n)).
+@lru_cache(maxsize=1)
+def _power_sum_products(m: int, n: int) -> tuple[int, int, int, Counter[int], Counter[int],
+                                                 Counter[int]]:
+    """The packing (width, radix, last) and the packed f³, f·p_2[f] and p_3[f].
 
-    Keys are length-n exponent sums; values count multisets (sym) or
-    3-subsets of distinct monomials (alt) of degree-m monomials.  With
-    f = Σ x^μ over those monomials the table is the cycle-index sum
-
-        (f³ ± 3·f·p_2[f] + 2·p_3[f]) / 6,    plus for sym, minus for alt,
-
-    where p_r[f] multiplies every exponent by r (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.8).
-
-    Every weight in the sum has coordinates summing to 3m, so the first one
-    is implied.  The others are packed into one int in mixed radix 3m + 1:
-    no coordinate exceeds 3m, so no digit carries, a product of monomials
-    adds keys and p_r multiplies them by r.  A character is kept as a map
-    from the packed middle coordinates to one int that holds the polynomial
-    in the last variable, each coefficient in a fixed-width field (Kronecker
-    substitution), so the products run as int multiplications.  The fields
-    are wide enough for the final coefficients, which are nonnegative, so the
-    fields of the signed sum are exactly those coefficients.
+    f = Σ x^μ over the degree-m monomials in n variables; the packing is the
+    one `weight_table_plethysm` describes.  Both variants combine the same
+    three sums, so the cache lets sym followed by alt for one (m, n) convolve
+    once; it keeps a single (m, n), so a sweep over m holds one at a time.
     """
-    if variant == "sym":
-        sign = 1
-    elif variant == "alt":
-        sign = -1
-    else:
-        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
     monos = monomial_exponents(m, n)
     d = len(monos)
     # 6·C(d + 2, 3) bounds every coefficient of the sixfold table
@@ -109,26 +93,61 @@ def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...],
         return out
 
     f = power_sum(1)
-    cube = times(times(f, f), f)
-    mixed = times(f, power_sum(2))
-    p3 = power_sum(3)
+    return width, radix, last, times(times(f, f), f), times(f, power_sum(2)), power_sum(3)
+
+
+def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...], int]:
+    """Weight-space dimensions of S^3(S^m(C^n)) or Λ^3(S^m(C^n)).
+
+    Keys are length-n exponent sums; values count multisets (sym) or
+    3-subsets of distinct monomials (alt) of degree-m monomials.  With
+    f = Σ x^μ over those monomials the table is the cycle-index sum
+
+        (f³ ± 3·f·p_2[f] + 2·p_3[f]) / 6,    plus for sym, minus for alt,
+
+    where p_r[f] multiplies every exponent by r (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.8).
+
+    Every weight in the sum has coordinates summing to 3m, so the first one
+    is implied.  The others are packed into one int in mixed radix 3m + 1:
+    no coordinate exceeds 3m, so no digit carries, a product of monomials
+    adds keys and p_r multiplies them by r.  A character is kept as a map
+    from the packed middle coordinates to one int that holds the polynomial
+    in the last variable, each coefficient in a fixed-width field (Kronecker
+    substitution), so the products run as int multiplications.  The fields
+    are wide enough for the final coefficients, which are nonnegative, so the
+    fields of the signed sum are exactly those coefficients.  The three sums
+    come from `_power_sum_products`, shared by both variants; each middle key
+    is decoded once, and each of its fields adds its last coordinate.
+    """
+    if variant == "sym":
+        sign = 1
+    elif variant == "alt":
+        sign = -1
+    else:
+        raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
+    width, radix, last, cube, mixed, p3 = _power_sum_products(m, n)
     table = {}
     for middle, value in cube.items():
-        fields = (value + 3 * sign * mixed[middle] + 2 * p3[middle]).to_bytes(
-            width * last, "little")
-        for e_last in range(last):
+        value += 3 * sign * mixed[middle] + 2 * p3[middle]
+        digits = []
+        for _ in range(n - 2):
+            middle, digit = divmod(middle, radix)
+            digits.append(digit)
+        inner = tuple(reversed(digits))
+        first = 3 * m - sum(inner)
+        # the first coordinate is first - e_last >= 0, so later fields are empty
+        span = min(last, first + 1)
+        fields = value.to_bytes(width * span, "little")
+        for e_last in range(span):
             six = int.from_bytes(fields[e_last * width:(e_last + 1) * width], "little")
             if not six:
                 continue
             if six % 6:
                 raise AssertionError(f"cycle-index coefficient {six} is not divisible by 6")
-            key = middle * last + e_last
-            tail = []
-            for _ in range(n - 1):
-                key, digit = divmod(key, radix)
-                tail.append(digit)
-            tail.reverse()
-            table[(3 * m - sum(tail), *tail) if n else ()] = six // 6
+            table[first - e_last, *inner, e_last] = six // 6
+    if n < 2:  # one field and no last coordinate: the weight is (3m,), or () for n = 0
+        table = {weight[:n]: count for weight, count in table.items()}
     return table
 
 
@@ -145,19 +164,32 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
     the table's side: each weight μ whose μ + δ has distinct coordinates adds
     sgn(w)·table[μ] to m_λ, where w sorts μ + δ into λ + δ, and every other
     weight adds nothing.  That is one pass over the table, with no sum over
-    S_n.  Diagrams come back with trailing zeros stripped, in decreasing
-    lexicographic order, and only nonzero multiplicities are kept.
+    S_n, which would cost n! lookups per λ when n is large and m small.  The
+    sign depends only on the order w, and few orders occur, so each one's
+    sign is computed once per call.  Diagrams come back with trailing zeros
+    stripped, in decreasing lexicographic order, and only nonzero
+    multiplicities are kept.
     """
     table = weight_table_plethysm(m, n, variant)
     delta = tuple(range(n - 1, -1, -1))
-    mults: Counter[tuple[int, ...]] = Counter()
+    signs: dict[tuple[int, ...], int] = {}
+    lifts: dict[tuple[int, ...], int] = {}  # λ + δ -> m_λ
+    # Per weight, only lists and tuples of lists: CPython builds a tuple from
+    # an iterator at a guessed length and trims it, and freed trimmed tuples
+    # pile up (to 2000) in a free list such builds never reuse; at
+    # (m, n) = (8, 4) that cost the read-off about 130 KB of peak memory.
     for weight, count in table.items():
-        lifted = tuple(map(add, weight, delta))
+        lifted = list(map(add, weight, delta))
         if len(set(lifted)) < n:
             continue
-        order = sorted(range(n), key=lifted.__getitem__, reverse=True)
-        shape = tuple(map(sub, map(lifted.__getitem__, order), delta))
-        mults[shape] += permutation_sign(order) * count
+        ordered = sorted(lifted, reverse=True)
+        order = tuple([lifted.index(value) for value in ordered])
+        sign = signs.get(order)
+        if sign is None:
+            sign = signs[order] = permutation_sign(order)
+        key = tuple(ordered)
+        lifts[key] = lifts.get(key, 0) + sign * count
+    mults = {tuple(map(sub, key, delta)): value for key, value in lifts.items()}
     for shape, value in mults.items():
         if value < 0:
             raise AssertionError(

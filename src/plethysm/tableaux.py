@@ -158,7 +158,8 @@ def kostka_within(outer: Diagram, content: tuple[int, ...]) -> Counter[Diagram]:
     if any(c < 0 for c in content):
         raise ValueError(f"negative content {content}")
     counts: Counter[Diagram] = Counter({(): 1})
-    for size in content:
+    # a letter with no cells adds the empty strip, which changes nothing
+    for size in filter(None, content):
         grown: Counter[Diagram] = Counter()
         for inner, count in counts.items():
             for diagram in _strips(inner, outer, size):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sign_reference
+
 from plethysm.actions import (
     add_row_multiple,
     all_permutations,
@@ -30,6 +32,14 @@ def test_permutation_sign():
     assert permutation_sign((2, 1, 3)) == -1
     assert permutation_sign((2, 3, 1)) == 1
     assert permutation_sign((4, 3, 2, 1)) == 1
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda k: st.tuples(st.permutations(range(k)), st.sampled_from((0, 1)))))
+def test_permutation_sign_matches_the_inversion_count(case):
+    perm, base = case
+    tau = tuple(i + base for i in perm)
+    assert permutation_sign(tau) == sign_reference.permutation_sign(tau)
 
 
 def test_permute_columns_on_variables():

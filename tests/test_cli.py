@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from partition_reference import _partitions
 from plethysm import cli, hwv, tableaux, verify
 from plethysm.cli import main
 from plethysm.hwv import decompose
@@ -199,6 +200,41 @@ def test_a_command_at_its_limit_runs_and_one_past_it_exits_3_before_any_work(
     assert captured.out == ""
     assert captured.err == (
         f"plethysm: instance too large: {limit} is {size}, past the limit {size - 1}\n")
+
+
+@pytest.mark.parametrize("argv, diagrams", [
+    # (), (1), (2), (1, 1) and (2, 1)
+    (["kostka", "--shape", "2,1", "--content", "1,1,1"], 5),
+    # C(303, 3) diagrams: this took 99 s before kostka had a limit
+    (["kostka", "--shape", "300,300,300", "--content", ",".join(["1"] * 900)], 4590551),
+], ids=["small", "cube"])
+def test_kostka_at_its_limit_runs_and_one_past_it_exits_3_before_any_work(
+        monkeypatch, capsys, argv, diagrams):
+    def no_work(*args, **kwargs):
+        raise WorkStarted
+
+    name = "diagrams inside kostka --shape"
+    monkeypatch.setattr(tableaux, "kostka", no_work)
+    if diagrams <= cli.LIMITS[name]:
+        monkeypatch.setitem(cli.LIMITS, name, diagrams)
+        with pytest.raises(WorkStarted):
+            main(argv)
+        monkeypatch.setitem(cli.LIMITS, name, diagrams - 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"plethysm: instance too large: {name} are past the limit {cli.LIMITS[name]}\n")
+
+
+def test_diagrams_inside_counts_the_diagrams_in_the_shape():
+    for total in range(9):
+        for shape in _partitions(total, total):
+            inside = sum(all(map(int.__le__, parts, shape))
+                         for parts in itertools.product(*(range(r + 1) for r in shape))
+                         if list(parts) == sorted(parts, reverse=True))
+            for cap in (0, inside - 1, inside, 10 ** 6):
+                assert cli._diagrams_inside(shape, cap) == min(inside, cap + 1)
 
 
 @pytest.mark.parametrize("shape", ["1100", ",".join(["1"] * 1100)], ids=["row", "column"])

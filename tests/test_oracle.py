@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import character_reference
 import kernel_reference
 import partition_reference
 from partition_reference import _partitions
@@ -75,20 +76,63 @@ DIFFERENTIAL_CASES = [(m, n) for n in (0, 1, 2, 3) for m in range(0, 9)] + [
 ]
 
 
+# the pool of perfbench's `character` workload
+CHARACTER_INSTANCES = [(11, 3), (12, 3), (13, 3), (7, 4), (8, 4)]
+
+
 @pytest.mark.parametrize("m,n", DIFFERENTIAL_CASES)
 def test_character_oracle_matches_the_replaced_paths(m, n):
     for variant in ("sym", "alt"):
         table = weight_table_plethysm(m, n, variant)
         assert table == reference_weight_table(m, n, variant)
         assert 0 not in table.values()
-        assert multiplicities_by_kostka(m, n, variant) == reference_multiplicities(
-            m, n, variant
-        )
+        mults = multiplicities_by_kostka(m, n, variant)
+        assert mults == reference_multiplicities(m, n, variant)
+        readoff = character_reference.multiplicities_by_kostka(m, n, variant)
+        assert list(mults.items()) == list(readoff.items())
     if m == 0:
         assert weight_table_plethysm(0, n, "alt") == {}
 
 
-def test_bad_variant_is_rejected():
+@pytest.mark.parametrize("m,n", CHARACTER_INSTANCES)
+def test_character_readoff_matches_the_replaced_readoff_on_the_bench_pool(m, n):
+    for variant in ("sym", "alt"):
+        mults = multiplicities_by_kostka(m, n, variant)
+        readoff = character_reference.multiplicities_by_kostka(m, n, variant)
+        assert list(mults.items()) == list(readoff.items())
+
+
+def _cold_table(m, n, variant):
+    oracle._power_sum_products.cache_clear()
+    return list(weight_table_plethysm(m, n, variant).items())
+
+
+def test_shared_convolution_gives_the_tables_of_cold_runs():
+    cases = [(0, 2), (1, 1), (3, 3), (5, 3), (4, 4), (2, 6)]
+    cold = {(m, n, variant): _cold_table(m, n, variant)
+            for m, n in cases for variant in ("sym", "alt")}
+
+    def warm(m, n, variant):
+        return list(weight_table_plethysm(m, n, variant).items())
+
+    for m, n in cases:
+        for first, second in (("sym", "alt"), ("alt", "sym")):
+            oracle._power_sum_products.cache_clear()
+            assert warm(m, n, first) == cold[m, n, first]
+            assert warm(m, n, second) == cold[m, n, second]
+    # two (m, n) interleaved: each call may evict the other's convolution
+    for (m1, n1), (m2, n2) in zip(cases, cases[1:]):
+        oracle._power_sum_products.cache_clear()
+        for variant in ("sym", "alt", "alt", "sym"):
+            assert warm(m1, n1, variant) == cold[m1, n1, variant]
+            assert warm(m2, n2, variant) == cold[m2, n2, variant]
+
+
+def test_bad_variant_is_rejected(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("convolution run for a bad variant")
+
+    monkeypatch.setattr(oracle, "_power_sum_products", no_work)
     for fn in (weight_table_plethysm, multiplicities_by_kostka):
         with pytest.raises(ValueError):
             fn(2, 3, "both")
