@@ -16,7 +16,6 @@ provided so they can be checked against each other.
 from __future__ import annotations
 
 import itertools
-from operator import gt
 from typing import Iterator
 
 from .polynomials import Polynomial, ZeroPolynomialError, variable
@@ -42,11 +41,8 @@ def permutation_sign(tau: Permutation) -> int:
     """The sign of the sort of `tau`, a sequence of distinct values (1..k or 0..k-1).
 
     A k-cycle is k - 1 transpositions, so the sign is (-1)^(k - cycles) of the
-    sorting permutation, found in O(k log k).  Up to three entries, counting
-    the inversions (three comparisons at most) is cheaper than the sort.
+    sorting permutation, found in O(k log k).
     """
-    if len(tau) < 4:
-        return -1 if sum(itertools.starmap(gt, itertools.combinations(tau, 2))) & 1 else 1
     order = sorted(range(len(tau)), key=tau.__getitem__)
     even = True
     # each step puts one entry of the cycle through i in place

@@ -172,12 +172,7 @@ def _diagrams_inside(shape: tuple[int, ...], cap: int) -> int:
 
 
 def _check_size(args) -> None:
-    """Raise InstanceTooLargeError if the instance is past its entry in ``LIMITS``."""
-    if args.command == "kostka":
-        name = "diagrams inside kostka --shape"
-        if _diagrams_inside(args.shape, LIMITS[name]) > LIMITS[name]:
-            raise oracle.InstanceTooLargeError(f"{name} are past the limit {LIMITS[name]}")
-        return
+    """Raise InstanceTooLargeError if ``args.m`` is past its entry in ``LIMITS``."""
     if args.command == "verify":
         name = "verify --m"
     else:
@@ -228,7 +223,9 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_kostka(parser: argparse.ArgumentParser, args) -> int:
-    _check_size(args)
+    name = "diagrams inside kostka --shape"
+    if _diagrams_inside(args.shape, LIMITS[name]) > LIMITS[name]:
+        raise oracle.InstanceTooLargeError(f"{name} are past the limit {LIMITS[name]}")
     value = tableaux.kostka(args.shape, args.content)
     _emit((f"{value}\n",), args.output)
     return 0

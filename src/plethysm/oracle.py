@@ -145,9 +145,9 @@ def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...],
                 continue
             if six % 6:
                 raise AssertionError(f"cycle-index coefficient {six} is not divisible by 6")
-            table[first - e_last, *inner, e_last] = six // 6
-    if n < 2:  # one field and no last coordinate: the weight is (3m,), or () for n = 0
-        table = {weight[:n]: count for weight, count in table.items()}
+            # for n < 2 there is one field and no last coordinate
+            key = (first - e_last, *inner, e_last) if n > 1 else (first,)[:n]
+            table[key] = six // 6
     return table
 
 
@@ -182,12 +182,12 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
         lifted = list(map(add, weight, delta))
         if len(set(lifted)) < n:
             continue
-        ordered = sorted(lifted, reverse=True)
-        order = tuple([lifted.index(value) for value in ordered])
-        sign = signs.get(order)
+        order = sorted(range(n), key=lifted.__getitem__, reverse=True)
+        w = tuple(order)
+        sign = signs.get(w)
         if sign is None:
-            sign = signs[order] = permutation_sign(order)
-        key = tuple(ordered)
+            sign = signs[w] = permutation_sign(w)
+        key = tuple([lifted[i] for i in order])
         lifts[key] = lifts.get(key, 0) + sign * count
     mults = {tuple(map(sub, key, delta)): value for key, value in lifts.items()}
     for shape, value in mults.items():
