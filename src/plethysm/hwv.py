@@ -51,7 +51,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .polynomials import Polynomial, variable
+from .polynomials import Polynomial, _check_degree, variable
 from .tableaux import Diagram, column_minor, normalize_partition, pad
 
 # The word families of k = 3: (variant, f) -> the parities (p - 2d, q - 2e)
@@ -208,7 +208,12 @@ class _Word:
         return normalize_partition(self.weight())
 
     def expand(self) -> Polynomial:
-        """The word as an explicit polynomial on rows 1..k."""
+        """The word as an explicit polynomial on rows 1..k.
+
+        Its degree, k times its grade, is checked against the bound before
+        any power is built or multiplied.
+        """
+        _check_degree(self._k * self.grade())
         (_, first, _, _), *rest = _FACTORS[self._k]
         exponents = self.exponents()
         poly = _generator_power(self._k, first, exponents[0])
@@ -223,10 +228,28 @@ class _Word:
         return "*".join(factors) or "1"
 
 
-@lru_cache(maxsize=None)
+# The powers of each generator built so far, by (k, name): entry e is power e.
+_POWERS: dict[tuple[int, str], list[Polynomial]] = {}
+
+
 def _generator_power(k: int, name: str, exp: int) -> Polynomial:
-    generators = generators_k3() if k == 3 else generators_k2()
-    return generators[name] ** exp
+    """The generator ``name`` of k to the power ``exp``.
+
+    The degree bound, exp times the generator's degree, is checked before any
+    power is built.  Each missing power is then the one below it times the
+    generator, one product per power, and every power built is kept in
+    ``_POWERS``, so the powers that the words of one grade share are built
+    once; the like terms of each product are collected in
+    ``Polynomial.__mul__``.
+    """
+    base = (generators_k3() if k == 3 else generators_k2())[name]
+    if exp < 0:
+        raise ValueError("negative polynomial power")
+    _check_degree(base.degree() * exp)
+    powers = _POWERS.setdefault((k, name), [Polynomial.one()])
+    while len(powers) <= exp:
+        powers.append(powers[-1] * base)
+    return powers[exp]
 
 
 @dataclass(frozen=True, order=True)

@@ -69,8 +69,13 @@ _KEY_BYTES = len(_VARS) + 1  # FIELD_BITS is 8: one byte per field
 def _sum_terms(terms: Iterable[tuple[Hashable, int]]) -> dict:
     """Add up the values of repeated keys, then drop the keys that sum to zero.
 
-    This is the one place where like terms are collected: coefficients keyed
-    by monomial, and exponents keyed by variable.
+    Every caller but one collects its like terms here: coefficients keyed by
+    monomial, and exponents keyed by variable.  The exception is the product
+    of two polynomials: ``Polynomial.__mul__`` adds its term pairs up in its
+    own nested loop, because a generator of pairs costs this routine a resumed
+    frame per pair, and ``zip`` over two comprehensions of keys and
+    coefficients, measured as the alternative, was slower than the loop and
+    held both lists in memory.
     """
     out: dict = {}
     for key, value in terms:
@@ -265,18 +270,31 @@ class Polynomial:
         return Polynomial.constant(other) - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
+        """The product with a polynomial or an integer.
+
+        The degree bound is checked before the first term pair is formed.
+        The pairs are then added up in this method's own nested loop, the one
+        place that does not use ``_sum_terms`` (whose docstring says why), and
+        the monomials that cancel are dropped; as there, terms keep the order
+        in which their keys first arise.
+        """
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero()
             return Polynomial._make({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._terms and other._terms:
-            _check_degree(self.degree() + other.degree())
+        if not (self._terms and other._terms):
+            return Polynomial.zero()
+        _check_degree(self.degree() + other.degree())
+        out: dict[int, int] = {}
+        get = out.get
         right = other._terms.items()
-        return Polynomial._make(_sum_terms(
-            (m1 + m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right
-        ))
+        for m1, c1 in self._terms.items():
+            for m2, c2 in right:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return Polynomial._make({key: c for key, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -271,6 +271,11 @@ EXPANDED_SHA256 = {
     (3, 6, "sym", "text"): "c28cf13d2a49d6697386b5086a2a86b7aef97b2064ca0f1a5d82a4ea110a6547",
     (3, 6, "alt", "json"): "da7ad85f976128b18bba6493aa95ab02f9bcc50bfb7733c788e5048c8a453682",
     (3, 6, "alt", "text"): "fa33cceb4257621744ba95fa2d81d5fe420aa90d39b05ae8588b0a9c8dbfc015",
+    # the four expand instances of the benchmark, as perfbench/workloads.json pins them
+    (3, 9, "sym", "json"): "dd02d9ebff65952700aa045b277ead239c70ff6d65d728401f4bff5d5548d023",
+    (3, 9, "alt", "json"): "0950a1f76cf70f42fc3a1b8837b45687bf730e76a423bd8d9f97cb1e556c98e6",
+    (3, 10, "sym", "json"): "d869b92d23996b2c5ba794a6caa8e3f208b1a7d473cc473ac1bcca8a1d91c9f6",
+    (3, 10, "alt", "json"): "351f5965137bdff823dfe478d4d0bb02b44d26ad9915d9667fc56613aceb0a12",
     (2, 7, "sym", "json"): "7b7de2d5c27955d46ef7fcf3134f6ac0b92fd31e0c88230043434215503113f4",
     (2, 7, "sym", "text"): "c876043b714437807ee009afc996a13d2d4f295006e1a148c832d49d1cb15b4e",
     (2, 7, "alt", "json"): "76e72a52f2668592aa189be0f21b68f378e2ede453c3ddc949ec33e32acfa58b",

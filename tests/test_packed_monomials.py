@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
-from plethysm import polynomials
 from plethysm.polynomials import (
     MAX_COL,
     MAX_DEGREE,
@@ -206,16 +205,31 @@ def test_degree_bound_is_exact_and_never_wraps():
             build()
 
 
-def test_products_and_powers_check_the_degree_before_their_loop(monkeypatch):
-    f = variable(1, 1) ** 200 + variable(2, 1) ** 200
-    g = variable(1, 2) ** 56 - variable(2, 2) ** 56
+class _NoArithmetic(int):
+    """A key or coefficient that fails the test when a product loop adds or
+    multiplies it; comparing and shifting it, as the degree check does, is fine."""
 
-    def no_loop(terms):
+    def _fail(self, other):
         raise AssertionError("the product loop ran")
 
-    monkeypatch.setattr(polynomials, "_sum_terms", no_loop)
+    __add__ = __radd__ = __mul__ = __rmul__ = _fail
+
+
+def _loop_detecting(f):
+    """f with every key and coefficient a _NoArithmetic: any product or power
+    loop over its terms raises AssertionError at its first pair."""
+    return Polynomial._make({_NoArithmetic(key): _NoArithmetic(c) for key, c in f._terms.items()})
+
+
+def test_products_and_powers_check_the_degree_before_their_loop():
+    f = _loop_detecting(variable(1, 1) ** 200 + variable(2, 1) ** 200)
+    g = _loop_detecting(variable(1, 2) ** 56 - variable(2, 2) ** 56)
+    with pytest.raises(AssertionError, match="the product loop ran"):
+        f * variable(1, 2)  # within the bound, the loop runs and is seen
     with pytest.raises(ValueError, match="total degree 256 exceeds the bound 255"):
         f * g
+    with pytest.raises(ValueError, match="total degree 256 exceeds the bound 255"):
+        g * f
     with pytest.raises(ValueError, match="total degree 400 exceeds the bound 255"):
         f ** 2
     with pytest.raises(ValueError, match="total degree 280 exceeds the bound 255"):
