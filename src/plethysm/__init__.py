@@ -47,7 +47,6 @@ from .polynomials import (
     NotMultihomogeneousError,
     Polynomial,
     ZeroPolynomialError,
-    mono_cmp,
     variable,
 )
 from .tableaux import (
@@ -97,7 +96,6 @@ __all__ = [
     "is_sk_invariant",
     "is_un_invariant",
     "kostka",
-    "mono_cmp",
     "multiplicities_by_kostka",
     "multiplicity_closed_form",
     "normalize_partition",

@@ -23,10 +23,6 @@ from .polynomials import Polynomial, ZeroPolynomialError, variable
 Permutation = tuple[int, ...]  # images of 1..k, so tau[j-1] is tau(j)
 
 
-def identity_permutation(k: int) -> Permutation:
-    return tuple(range(1, k + 1))
-
-
 def transposition(k: int, a: int, b: int) -> Permutation:
     images = list(range(1, k + 1))
     images[a - 1], images[b - 1] = b, a

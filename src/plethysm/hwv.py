@@ -45,7 +45,7 @@ attaches delta[1][i] to the complementary product of first-row variables, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
@@ -59,7 +59,6 @@ from .tableaux import Diagram, column_minor, normalize_partition, pad
 # S_3-invariants (the "sym" component), unequal ones the sign part ("alt").
 _FAMILIES = {("sym", 0): (0, 0), ("sym", 1): (1, 1),
              ("alt_gamma1", 0): (1, 0), ("alt_gamma2", 0): (0, 1)}
-VARIANTS = tuple(dict.fromkeys(variant for variant, _ in _FAMILIES))
 # The family of each x = (p - 2d) + 2(q - 2e), as enumerate_basis meets it.
 _FAMILY_OF_X = {p + 2 * q: family for family, (p, q) in _FAMILIES.items()}
 
@@ -152,9 +151,6 @@ class DiscriminantCheck:
     corrected_holds: bool  # 4*alpha2^3 - alpha3^2 == 27*alpha1^2*gamma2^2
     gamma1_variant_holds: bool  # the same with gamma1 in place of gamma2
 
-    def __bool__(self) -> bool:
-        return self.corrected_holds
-
 
 def verify_discriminant_relation() -> DiscriminantCheck:
     """Check 4*alpha2^3 - alpha3^2 == 27*alpha1^2*gamma2^2 by expansion.
@@ -189,10 +185,23 @@ _WEIGHT_ROWS = {k: tuple(zip(*(weight for _, _, _, weight in table)))
                 for k, table in _FACTORS.items()}
 
 
+@lru_cache(maxsize=None)
+def _int_fields(word_class: type) -> tuple[str, ...]:
+    # the annotations are strings, as this module postpones their evaluation
+    return tuple(field.name for field in fields(word_class) if field.type == "int")
+
+
 class _Word:
     """Grade, weight, expansion and printed form of a word, read off the
-    factor table of its k.  A subclass sets ``_k`` and gives ``exponents()``,
-    one per row of the table."""
+    factor table of its k.  A subclass is a dataclass that sets ``_k`` and
+    gives ``exponents()``, one per row of the table."""
+
+    def __post_init__(self):
+        # a float or a bool would print, weigh and hash like the int it equals
+        for name in _int_fields(type(self)):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"word field {name} must be a nonnegative int, got {value!r}")
 
     def _factors(self):
         return zip(_FACTORS[self._k], self.exponents())
@@ -203,9 +212,6 @@ class _Word:
     def weight(self) -> tuple[int, ...]:
         exponents = self.exponents()
         return tuple([sum(map(mul, row, exponents)) for row in _WEIGHT_ROWS[self._k]])
-
-    def diagram(self) -> Diagram:
-        return normalize_partition(self.weight())
 
     def expand(self) -> Polynomial:
         """The word as an explicit polynomial on rows 1..k.
@@ -279,20 +285,11 @@ class GeneratorWord(_Word):
     _k = 3
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.variant, self.f) not in _FAMILIES:
             raise ValueError(f"no word family has variant {self.variant!r} and f={self.f}")
-        if min(self.a, self.b, self.c, self.d, self.e) < 0:
-            raise ValueError("word exponents must be nonnegative")
         if self.c > 1:
             raise ValueError("alpha3 exponent c must be 0 or 1")
-
-    @property
-    def gamma1_exponent(self) -> int:
-        return self.exponents()[3]
-
-    @property
-    def gamma2_exponent(self) -> int:
-        return self.exponents()[4]
 
     def exponents(self) -> tuple[int, int, int, int, int]:
         """(a, b, c, p, q), the exponents of alpha1, alpha2, alpha3, gamma1, gamma2."""
@@ -385,10 +382,6 @@ class WordK2(_Word):
     j: int
 
     _k = 2
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ValueError("word exponents must be nonnegative")
 
     def exponents(self) -> tuple[int, int]:
         return (self.i, self.j)

@@ -109,6 +109,24 @@ def _encode(exponents: Mapping[VarId, int]) -> int:
     return key + (degree << _DEGREE_SHIFT)
 
 
+def _json_term(term: dict) -> tuple[int, int]:
+    """The key and coefficient of one term of ``Polynomial.from_json_obj``."""
+    coeff = term["coeff"]
+    if type(coeff) is str and coeff == str(int(coeff)):  # int() refuses "1.5"
+        coeff = int(coeff)
+    elif type(coeff) is not int:
+        raise ValueError(f"coefficient {coeff!r} is neither an int nor an int's string")
+    exponents: dict[VarId, int] = {}
+    for entry in term["exps"]:
+        if len(entry) != 3 or any(type(value) is not int for value in entry):
+            raise ValueError(f"exponent entry {entry!r} is not three ints [row, col, exp]")
+        row, col, exp = entry
+        if (row, col) in exponents:
+            raise ValueError(f"x[{row}][{col}] is listed twice in one term")
+        exponents[row, col] = exp
+    return _encode(exponents), coeff
+
+
 def _fields(key: int) -> bytes:
     """The exponents of the key, one byte per variable in chain order."""
     return key.to_bytes(_KEY_BYTES, "big")[1:]
@@ -145,14 +163,6 @@ class Monomial:
     def degree(self) -> int:
         return self._key >> _DEGREE_SHIFT
 
-    @property
-    def is_unit(self) -> bool:
-        return not self._key
-
-    def exponent(self, row: int, col: int) -> int:
-        shift = _SHIFT.get((row, col))
-        return 0 if shift is None else self._key >> shift & MAX_DEGREE
-
     def exponents(self) -> dict[VarId, int]:
         """Exponent map keyed by (row, col), in decreasing variable order."""
         return dict(_decode(self._key))
@@ -179,6 +189,8 @@ class Monomial:
         return hash(self._key)
 
     def __lt__(self, other: "Monomial") -> bool:
+        if not isinstance(other, Monomial):
+            return NotImplemented
         return self._key < other._key
 
     def __str__(self) -> str:
@@ -186,11 +198,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents()!r})"
-
-
-def mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Three-way comparison in graded lex order: -1, 0, or 1."""
-    return (a._key > b._key) - (a._key < b._key)
 
 
 class Polynomial:
@@ -230,17 +237,6 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         return ((Monomial._of(key), c) for key, c in self._terms.items())
-
-    def terms_sorted(self) -> list[tuple[Monomial, int]]:
-        """Terms in decreasing monomial order."""
-        return [(Monomial._of(key), self._terms[key])
-                for key in sorted(self._terms, reverse=True)]
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono._key, 0)
-
-    def monomials(self) -> set[Monomial]:
-        return {Monomial._of(key) for key in self._terms}
 
     def variables(self) -> set[VarId]:
         # a field of the union of all keys is nonzero iff some term uses it
@@ -488,10 +484,14 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "Polynomial":
-        return cls._make(_sum_terms(
-            (_encode({(r, c): e for r, c, e in term["exps"]}), int(term["coeff"]))
-            for term in obj
-        ))
+        """The polynomial that ``to_json_obj`` writes as `obj`; like terms add up.
+
+        A coefficient is an int or the string ``str`` gives for one, and each
+        ``[row, col, exp]`` is three ints, no variable twice in one term.
+        Anything else raises ValueError: a float or a bool is refused, not
+        taken for the int it is close to.
+        """
+        return cls._make(_sum_terms(map(_json_term, obj)))
 
 
 _COLUMN_BITS = FIELD_BITS * MAX_ROW  # the fields of one column, row 1 highest

@@ -64,8 +64,7 @@ def test_c03_leading_monomials_to_grade_8():
                 continue
             for word in hwv.enumerate_basis(m, variant):
                 mono, coeff = word.expand().leading_monomial()
-                p, q = word.gamma1_exponent, word.gamma2_exponent
-                a, b, c = word.a, word.b, word.c
+                a, b, c, p, q = word.exponents()
                 ok = ok and mono == Monomial({
                     (1, 1): a + 2 * b + 3 * c + p + 2 * q,
                     (1, 2): a + 2 * b + 3 * c + q,

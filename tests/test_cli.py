@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,39 @@ def test_verify_output_bytes_are_pinned(tmp_path, args):
     out = tmp_path / "out"
     assert main(["verify", *args.split(), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256[args]
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def _command_key(argv: list[str]) -> tuple:
+    """The options that argv sets, defaults filled in, ``--output`` left out,
+    so that two spellings of one command compare equal."""
+    return tuple(sorted((name, value) for name, value in
+                        vars(cli.build_parser().parse_args(argv)).items()
+                        if name != "output"))
+
+
+def test_ci_sums_match_the_pins_of_tier_1(tmp_path):
+    """Each `plethysm ... > FILE` of the CI workflow whose FILE an
+    `echo "SHA  FILE" | sha256sum -c` checks: SHA is the pin above for the same
+    command, or, for a command with no pin here, the sha256 of its output."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    commands = {file: args.split() for args, file in
+                re.findall(r"^ *plethysm ([^>|\n]+?) > (\S+)$", text, re.MULTILINE)}
+    sums = re.findall(r'^ *echo "([0-9a-f]{64})  (\S+)" \| sha256sum -c$', text, re.MULTILINE)
+    assert len(sums) == 7 and {file for _, file in sums} <= set(commands)
+    pins = {_command_key(["verify", *args.split()]): sha for args, sha in VERIFY_SHA256.items()}
+    pins.update({_command_key(["decompose", "--k", str(k), "--m", str(m), "--variant", variant,
+                               "--format", fmt, "--expand"]): sha
+                 for (k, m, variant, fmt), sha in EXPANDED_SHA256.items()})
+    for sha, file in sums:
+        argv, key = commands[file], _command_key(commands[file])
+        if key not in pins:
+            out = tmp_path / file
+            assert main([*argv, "--output", str(out)]) == 0
+            pins[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert sha == pins[key], " ".join(argv)
 
 
 @pytest.mark.parametrize("argv", [

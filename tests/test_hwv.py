@@ -106,7 +106,6 @@ def test_discriminant_relation():
     outcome = verify_discriminant_relation()
     assert outcome.corrected_holds
     assert not outcome.gamma1_variant_holds
-    assert bool(outcome)
 
 
 def test_word_validation():
@@ -124,6 +123,23 @@ def test_word_validation():
         GeneratorWord(0, 0, 0, 0, 0, -1, "sym")
     with pytest.raises(ValueError):
         GeneratorWord(0, 0, 0, 0, 0, 1, "alt_gamma2")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GeneratorWord(1.5, 0, 0, 0, 0, 0, "sym"),  # printed a1^1.5, weight (4.5, 0.0, 0.0)
+    lambda: GeneratorWord(True, 0, 0, 0, 0, 0, "sym"),  # wrote "a": true to JSON
+    lambda: GeneratorWord(0, 0, 0, 0, 0, 1.0, "sym"),  # ("sym", 1.0) hashes like ("sym", 1)
+    lambda: GeneratorWord(0, 0, False, 0, 0, 0, "sym"),
+    lambda: GeneratorWord(0, 0, 0, 0, -1, 0, "sym"),
+    lambda: WordK2(2.0, 1),  # printed a^2.0*g
+    lambda: WordK2(0, True),
+    lambda: WordK2(-1, 1),
+    lambda: WordK2(1, -1),
+], ids=["float-a", "bool-a", "float-f", "bool-c", "negative-e",
+        "float-i", "bool-j", "negative-i", "negative-j"])
+def test_word_fields_are_exact_nonnegative_ints(build):
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        build()
 
 
 def test_word_grade_weight_match_expansion():
@@ -373,9 +389,9 @@ def test_word_rendering():
 
 
 def _word_view(word) -> tuple:
-    """Everything a word shows: printed form, grade, weight, diagram,
-    expansion, and its JSON object with the key order."""
-    return (str(word), word.grade(), word.weight(), word.diagram(), word.expand(),
+    """Everything a word shows: printed form, grade, weight (which fixes its
+    diagram), expansion, and its JSON object with the key order."""
+    return (str(word), word.grade(), word.weight(), word.expand(),
             list(word.to_json_obj().items()))
 
 

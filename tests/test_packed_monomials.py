@@ -12,7 +12,6 @@ from plethysm.polynomials import (
     MAX_ROW,
     Monomial,
     Polynomial,
-    mono_cmp,
     variable,
 )
 
@@ -38,7 +37,8 @@ def same(packed, old):
     """Equal terms in the same iteration order, and equal printed forms."""
     assert ([(list(m.exponents().items()), c) for m, c in packed.terms()]
             == [(list(m.exponents().items()), c) for m, c in old.terms()])
-    assert ([(list(m.exponents().items()), c) for m, c in packed.terms_sorted()]
+    assert ([(list(m.exponents().items()), c)
+             for m, c in sorted(packed.terms(), reverse=True)]
             == [(list(m.exponents().items()), c) for m, c in old.terms_sorted()])
     assert packed.to_json_obj() == old.to_json_obj()
     assert str(packed) == str(old)
@@ -147,13 +147,13 @@ def test_monomials_match_the_tuple_layout(a_exps, b_exps, exp):
     assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
         old_a < old_b, old_a <= old_b, old_a > old_b, old_a >= old_b,
         old_a == old_b, old_a != old_b)
-    assert mono_cmp(a, b) == ref.mono_cmp(old_a, old_b)
+    assert (a > b) - (a < b) == ref.mono_cmp(old_a, old_b)
     assert a != b or hash(a) == hash(b)
     assert list((a * b).exponents().items()) == list((old_a * old_b).exponents().items())
     assert list((a ** exp).exponents().items()) == list((old_a ** exp).exponents().items())
-    assert (str(a), repr(a), a.degree, a.is_unit, a.variables()) == (
+    assert (str(a), repr(a), a.degree, a == Monomial(), a.variables()) == (
         str(old_a), repr(old_a), old_a.degree, old_a.is_unit, old_a.variables())
-    assert all(a.exponent(*var) == old_a.exponent(*var) for var in VARS)
+    assert all(a.exponents().get(var, 0) == old_a.exponent(*var) for var in VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ def test_reading_a_variable_outside_the_layout_gives_zero():
     f = variable(1, 1) * variable(MAX_ROW, MAX_COL)
     assert f.partial_derivative(MAX_ROW + 1, 1) == 0
     assert f.polarize(1, MAX_ROW + 1) == 0
-    assert Monomial({(1, 1): 2}).exponent(MAX_ROW + 1, 1) == 0
 
 
 def test_degree_bound_is_exact_and_never_wraps():

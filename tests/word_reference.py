@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from plethysm.hwv import VARIANTS, BadShapeError, generators_k2, generators_k3
+from plethysm.hwv import BadShapeError, generators_k2, generators_k3
 from plethysm.polynomials import Polynomial
 from plethysm.tableaux import Diagram, normalize_partition, pad
+
+VARIANTS = ("sym", "alt_gamma1", "alt_gamma2")
 
 
 @dataclass(frozen=True)
