@@ -25,9 +25,10 @@ other code-2 error is an argparse usage error (an unknown, missing or
 malformed option, or an out-of-range value such as ``--m -1``): it prints
 the usage text first, then the one error line.
 
-Output is written piece by piece as it is produced; with ``--expand`` that
-is one word's polynomial at a time, so the whole document is never held in
-memory.  Two consequences:
+Output is written piece by piece as it is produced, in both formats: a word
+at a time, and with ``--expand`` each word's polynomial in runs of
+``polynomials.TERMS_PER_PIECE`` terms, so neither the whole document nor the
+whole text of one polynomial is ever held in memory.  Two consequences:
 
 * A reader that closes stdout early (``| head``) stops the run, with exit 0
   and nothing on stderr.
@@ -203,7 +204,7 @@ def _hwv_lines(words, expand: bool) -> Iterator[str]:
     for word in words:
         yield f"{word}  grade={word.grade()}  weight=({','.join(map(str, word.weight()))})\n"
         if expand:
-            yield f"  = {word.expand()}\n"
+            yield from word.expand().text_pieces("  = ", "\n")
 
 
 def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:

@@ -432,7 +432,8 @@ class DecompositionReport:
 
     def text_lines(self, expand: bool = False) -> Iterator[str]:
         """The lines of ``to_text``, each with its newline; with ``expand`` a
-        word's polynomial is built only when its line is reached."""
+        word's polynomial is built only when its line is reached, and a line
+        of more than ``TERMS_PER_PIECE`` terms comes in pieces of that many."""
         yield f"{self.component_name()}  [k={self.k}, m={self.m}, {self.variant}]\n"
         width = max((len(_diagram_str(e.diagram)) for e in self.entries), default=4)
         for entry in self.entries:
@@ -440,13 +441,10 @@ class DecompositionReport:
             yield f"  {_diagram_str(entry.diagram):<{width}}  x{entry.multiplicity}  {words}\n"
             if expand:
                 for w in entry.words:
-                    yield f"      {w} = {w.expand()}\n"
+                    yield from w.expand().text_pieces(f"      {w} = ", "\n")
         yield f"total multiplicity {self.total_multiplicity()}\n"
 
     def to_json_obj(self) -> dict:
-        return self._json_obj(expand=False)
-
-    def _json_obj(self, expand: bool) -> dict:
         return {
             "k": self.k,
             "m": self.m,
@@ -455,7 +453,7 @@ class DecompositionReport:
                 {
                     "diagram": list(entry.diagram),
                     "multiplicity": entry.multiplicity,
-                    "words": _word_json_objs(entry.words, expand),
+                    "words": [w.to_json_obj() for w in entry.words],
                 }
                 for entry in self.entries
             ],
@@ -466,30 +464,35 @@ class DecompositionReport:
 
     def json_chunks(self, expand: bool = False,
                     shape: Diagram | None = None) -> Iterator[str]:
-        """The report as JSON with ``indent=2``, and a final newline, in pieces.
+        """``json.dumps(obj, indent=2, ensure_ascii=False)`` and a final newline,
+        in pieces, for obj the ``to_json_obj()`` of the report.
 
-        With ``expand`` each word object gains a ``"polynomial"`` key, whose
-        value ``Polynomial.to_json_text`` writes as one piece; a word is
-        expanded only when its piece is reached, so one polynomial exists at a
-        time.  The rest goes through ``json.dumps``.  With ``shape`` only that
-        diagram's words are written, in the ``{"k", "m", "variant", "shape",
-        "words"}`` layout of ``hwv``.
+        The header and each entry's diagram and multiplicity are fixed text,
+        and each word's object is written from its ``to_json_obj()``, one
+        piece per word.  With ``expand`` each word object gains a
+        ``"polynomial"`` key, the ``to_json_obj()`` of its expansion, written
+        by ``Polynomial.json_pieces`` in runs of ``TERMS_PER_PIECE`` terms; a
+        word is expanded only when its piece is reached, so one polynomial
+        exists at a time.  With ``shape`` only that diagram's words are
+        written, in the ``{"k", "m", "variant", "shape", "words"}`` layout of
+        ``hwv``.
         """
-        if shape is None:
-            words = self.words()
-            obj = self._json_obj(expand)
-            level = 10  # indent of a word's keys under "entries"
+        head = (f'{{\n  "k": {self.k},\n  "m": {self.m},\n'
+                f'  "variant": {_json_str(self.variant)},\n')
+        if shape is not None:
+            yield head + f'  "shape": {_json_ints(shape, 2)},\n  "words": '
+            yield from _json_words(self.words_of(shape), 2, expand)
+        elif not self.entries:
+            yield head + '  "entries": []'
         else:
-            words = self.words_of(shape)
-            obj = {"k": self.k, "m": self.m, "variant": self.variant,
-                   "shape": list(shape), "words": _word_json_objs(words, expand)}
-            level = 6  # indent of a word's keys under "words"
-        text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
-        pieces = iter(text.split(_POLYNOMIAL_SLOT_TEXT))
-        yield next(pieces)
-        for word, piece in zip(words, pieces):  # the slots are in word order
-            yield word.expand().to_json_text(level)
-            yield piece
+            before = head + '  "entries": [\n    {'
+            for entry in self.entries:
+                yield (f'{before}\n      "diagram": {_json_ints(entry.diagram, 6)},\n'
+                       f'      "multiplicity": {entry.multiplicity},\n      "words": ')
+                yield from _json_words(entry.words, 6, expand)
+                before = "\n    },\n    {"
+            yield "\n    }\n  ]"
+        yield "\n}\n"
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecompositionReport":
@@ -519,12 +522,6 @@ class DecompositionReport:
         return report
 
 
-# Stands in for a polynomial until the JSON text is written.  json.dumps
-# escapes it as "\u0000", which no other string in a report contains.
-_POLYNOMIAL_SLOT = "\0"
-_POLYNOMIAL_SLOT_TEXT = json.dumps(_POLYNOMIAL_SLOT)
-
-
 def _require_fields(obj, what: str, **fields: type) -> None:
     """Raise ValueError unless `obj` is a dict that maps each key of `fields`
     to a value of exactly that type: a bool or a float is not an int."""
@@ -535,10 +532,40 @@ def _require_fields(obj, what: str, **fields: type) -> None:
             raise ValueError(f"{what} has no {key!r} of type {kind.__name__}")
 
 
-def _word_json_objs(words, expand: bool) -> list[dict]:
-    if expand:
-        return [dict(w.to_json_obj(), polynomial=_POLYNOMIAL_SLOT) for w in words]
-    return [w.to_json_obj() for w in words]
+# json.dumps's encoder of a string, as it runs with ensure_ascii=False
+_json_str = json.encoder.encode_basestring
+
+
+def _json_ints(values, level: int) -> str:
+    """``json.dumps(list(values), indent=2)`` for ints, on a line indented by
+    ``level``."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (level + 2)
+    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * level + "]"
+
+
+def _json_words(words, level: int, expand: bool) -> Iterator[str]:
+    """The JSON array of the words' objects, on a line indented by ``level``,
+    in pieces: one per word, or with ``expand`` each word's expansion under
+    ``"polynomial"`` in runs of terms.  A word's values are ints and strings.
+    """
+    if not words:
+        yield "[]"
+        return
+    inner = "\n" + " " * (level + 2)  # the indent of each word's braces
+    keys = inner + "  "  # and of its keys
+    before = "[" + inner + "{" + keys
+    for w in words:
+        fields = before + ("," + keys).join([
+            f"{_json_str(key)}: {value if type(value) is int else _json_str(value)}"
+            for key, value in w.to_json_obj().items()])
+        if expand:
+            yield from w.expand().json_pieces(level + 4, fields + "," + keys + '"polynomial": ')
+        else:
+            yield fields
+        before = inner + "}," + inner + "{" + keys
+    yield inner + "}\n" + " " * level + "]"
 
 
 def _diagram_str(diagram: Diagram) -> str:

@@ -65,6 +65,12 @@ _DEGREE_SHIFT = FIELD_BITS * len(_VARS)
 _DEGREE_ONE = 1 << _DEGREE_SHIFT
 _KEY_BYTES = len(_VARS) + 1  # FIELD_BITS is 8: one byte per field
 
+# The most terms in one piece of `Polynomial.text_pieces` or `json_pieces`.
+# Written out, a polynomial of the --expand limit runs to megabytes; runs of
+# this many terms keep each piece to kilobytes, and they wrote faster than
+# pieces of 1, 16 or 1024 terms or whole polynomials.
+TERMS_PER_PIECE = 128
+
 
 def _sum_terms(terms: Iterable[tuple[Hashable, int]]) -> dict:
     """Add up the values of repeated keys, then drop the keys that sum to zero.
@@ -111,6 +117,8 @@ def _encode(exponents: Mapping[VarId, int]) -> int:
 
 def _json_term(term: dict) -> tuple[int, int]:
     """The key and coefficient of one term of ``Polynomial.from_json_obj``."""
+    if type(term) is not dict or type(term.get("exps")) is not list or "coeff" not in term:
+        raise ValueError(f"term {term!r} is not an object with a \"coeff\" and an \"exps\" list")
     coeff = term["coeff"]
     if type(coeff) is str and coeff == str(int(coeff)):  # int() refuses "1.5"
         coeff = int(coeff)
@@ -118,7 +126,8 @@ def _json_term(term: dict) -> tuple[int, int]:
         raise ValueError(f"coefficient {coeff!r} is neither an int nor an int's string")
     exponents: dict[VarId, int] = {}
     for entry in term["exps"]:
-        if len(entry) != 3 or any(type(value) is not int for value in entry):
+        if (type(entry) is not list or len(entry) != 3
+                or any(type(value) is not int for value in entry)):
             raise ValueError(f"exponent entry {entry!r} is not three ints [row, col, exp]")
         row, col, exp = entry
         if (row, col) in exponents:
@@ -142,6 +151,13 @@ def _key_str(key: int) -> str:
         return "1"
     return "*".join(name if e == 1 else f"{name}^{e}"
                     for name, e in zip(_NAMES, _fields(key)) if e)
+
+
+def _term_str(key: int, coeff: int) -> str:
+    """One term as ``str`` writes it after the first: " + 3*x[1][1]^2"."""
+    mag = abs(coeff)
+    body = str(mag) if not key else _key_str(key) if mag == 1 else f"{mag}*{_key_str(key)}"
+    return (" + " if coeff > 0 else " - ") + body
 
 
 @total_ordering
@@ -430,17 +446,23 @@ class Polynomial:
         return Polynomial._make(_sum_terms(moved()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for key in sorted(self._terms, reverse=True):
-            coeff = self._terms[key]
-            mag = abs(coeff)
-            body = (str(mag) if not key else _key_str(key) if mag == 1
-                    else f"{mag}*{_key_str(key)}")
-            sign = ("+ " if coeff > 0 else "- ") if parts else ("" if coeff > 0 else "-")
-            parts.append(sign + body)
-        return " ".join(parts)
+        return "".join(self.text_pieces())
+
+    def text_pieces(self, head: str = "", tail: str = "") -> Iterator[str]:
+        """``head + str(self) + tail`` in pieces of at most ``TERMS_PER_PIECE``
+        terms each, head at the start of the first and tail at the end of the
+        last; the zero polynomial is the one piece ``head + "0" + tail``."""
+        terms = self._terms
+        if not terms:
+            yield head + "0" + tail
+            return
+        keys = sorted(terms, reverse=True)
+        for start in range(0, len(keys), TERMS_PER_PIECE):
+            text = "".join([_term_str(key, terms[key])
+                            for key in keys[start:start + TERMS_PER_PIECE]])
+            if not start:  # the leading term has no spaces around its sign
+                text = head + (text[3:] if text[1] == "+" else "-" + text[3:])
+            yield text + tail if start + TERMS_PER_PIECE >= len(keys) else text
 
     def __repr__(self) -> str:
         return f"<Polynomial {self}>"
@@ -456,8 +478,14 @@ class Polynomial:
 
     def to_json_text(self, level: int = 0) -> str:
         """``json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False)``, every
-        line after the first indented by ``level`` more spaces, written from
-        the keys without building the list of dicts.
+        line after the first indented by ``level`` more spaces: the joined
+        ``json_pieces(level)``."""
+        return "".join(self.json_pieces(level))
+
+    def json_pieces(self, level: int = 0, head: str = "") -> Iterator[str]:
+        """``head + self.to_json_text(level)`` in pieces of at most
+        ``TERMS_PER_PIECE`` terms each, head at the start of the first,
+        written from the keys without building the list of dicts.
 
         ``level`` is the indent of the line that holds the polynomial, so the
         text can be spliced into a larger ``indent=2`` document.  A term's
@@ -465,32 +493,41 @@ class Polynomial:
         """
         terms = self._terms
         if not terms:
-            return "[]"
+            yield head + "[]"
+            return
         pad, columns = _json_layout(level)
         exps_sep = "," + pad + "      "
         exps_open = '",' + pad + '    "exps": [' + pad + "      "
         exps_close = pad + "    ]"
         no_exps = '",' + pad + '    "exps": []'
-        bodies = [
-            str(terms[key])
-            + (exps_open + exps_sep.join([texts[group] for shift, texts in columns
-                                          if (group := key >> shift & _COLUMN_MASK)])
-               + exps_close if key else no_exps)
-            for key in sorted(terms, reverse=True)
-        ]
         open_term = pad + "  {" + pad + '    "coeff": "'
-        return ("[" + open_term + (pad + "  }," + open_term).join(bodies)
-                + pad + "  }" + pad + "]")
+        between = pad + "  }," + open_term
+        keys = sorted(terms, reverse=True)
+        lead = head + "[" + open_term
+        for start in range(0, len(keys), TERMS_PER_PIECE):
+            text = lead + between.join([
+                str(terms[key])
+                + (exps_open + exps_sep.join([texts[group] for shift, texts in columns
+                                              if (group := key >> shift & _COLUMN_MASK)])
+                   + exps_close if key else no_exps)
+                for key in keys[start:start + TERMS_PER_PIECE]
+            ])
+            lead = between
+            yield (text + pad + "  }" + pad + "]"
+                   if start + TERMS_PER_PIECE >= len(keys) else text)
 
     @classmethod
-    def from_json_obj(cls, obj: Iterable[dict]) -> "Polynomial":
+    def from_json_obj(cls, obj: list[dict]) -> "Polynomial":
         """The polynomial that ``to_json_obj`` writes as `obj`; like terms add up.
 
-        A coefficient is an int or the string ``str`` gives for one, and each
-        ``[row, col, exp]`` is three ints, no variable twice in one term.
-        Anything else raises ValueError: a float or a bool is refused, not
-        taken for the int it is close to.
+        `obj` is a list of objects, each with a "coeff" and an "exps" list.  A
+        coefficient is an int or the string ``str`` gives for one, and each
+        ``[row, col, exp]`` is a list of three ints, no variable twice in one
+        term.  Anything else raises ValueError: a float or a bool is refused,
+        not taken for the int it is close to.
         """
+        if type(obj) is not list:
+            raise ValueError(f"a polynomial is a list of terms, not a {type(obj).__name__}")
         return cls._make(_sum_terms(map(_json_term, obj)))
 
 
@@ -500,7 +537,7 @@ _COLUMN_MASK = (1 << _COLUMN_BITS) - 1
 
 class _ColumnTexts(dict):
     """For one column: its field group -> the text of that group's nonzero
-    ``[row, col, exp]`` triples, as ``Polynomial.to_json_text`` writes them;
+    ``[row, col, exp]`` triples, as ``Polynomial.json_pieces`` writes them;
     an entry is built on its first lookup."""
 
     def __init__(self, col: int, pad: str):

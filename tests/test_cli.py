@@ -284,6 +284,27 @@ EXPANDED_SHA256 = {
 }
 
 
+# sha256 of JSON documents that pin the layout of entries and words, each
+# recorded before the writer streamed them in pieces
+JSON_SHA256 = {
+    "decompose --m 40 --format json":
+        "c4323a3280daa24be2578a5aa0afdecef04e66fa28a4b4d9878ac1f04d509477",
+    "decompose --m 40 --variant alt --format json":
+        "116a342de6393aef1bc2fe98d422c3a11edd90674a8c32e0505414f20d6fb35b",
+    "decompose --k 2 --m 1000 --format json":
+        "6f52336803974db6705fcc7b34d210b7b2a5b982d34f441c2882298a8747a092",
+    "hwv --m 12 --shape 18,12,6 --format json --expand":
+        "56f400a1e10ed796deb190e78f1c911623931df92c9b855d934d47a4b1475c84",
+}
+
+
+@pytest.mark.parametrize("args", sorted(JSON_SHA256))
+def test_json_output_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "out"
+    assert main([*args.split(), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == JSON_SHA256[args]
+
+
 @pytest.mark.parametrize("k, m, variant, fmt", sorted(EXPANDED_SHA256))
 def test_expanded_output_bytes_are_pinned(tmp_path, k, m, variant, fmt):
     out = tmp_path / "out"
@@ -326,8 +347,9 @@ def test_ci_sums_match_the_pins_of_tier_1(tmp_path):
     commands = {file: args.split() for args, file in
                 re.findall(r"^ *plethysm ([^>|\n]+?) > (\S+)$", text, re.MULTILINE)}
     sums = re.findall(r'^ *echo "([0-9a-f]{64})  (\S+)" \| sha256sum -c$', text, re.MULTILINE)
-    assert len(sums) == 7 and {file for _, file in sums} <= set(commands)
+    assert len(sums) == 8 and {file for _, file in sums} <= set(commands)
     pins = {_command_key(["verify", *args.split()]): sha for args, sha in VERIFY_SHA256.items()}
+    pins.update({_command_key(args.split()): sha for args, sha in JSON_SHA256.items()})
     pins.update({_command_key(["decompose", "--k", str(k), "--m", str(m), "--variant", variant,
                                "--format", fmt, "--expand"]): sha
                  for (k, m, variant, fmt), sha in EXPANDED_SHA256.items()})

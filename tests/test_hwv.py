@@ -25,7 +25,7 @@ from plethysm.hwv import (
     verify_discriminant_relation,
     words_for_weight,
 )
-from plethysm.polynomials import Monomial, Polynomial, variable
+from plethysm.polynomials import TERMS_PER_PIECE, Monomial, Polynomial, variable
 from plethysm.tableaux import column_minor
 
 
@@ -465,9 +465,16 @@ def test_json_chunks_expand_one_word_at_a_time(monkeypatch):
     monkeypatch.setattr(GeneratorWord, "expand", counting)
     chunks = decompose(3, 6, "sym").json_chunks(expand=True)
     head, first_polynomial = next(chunks), next(chunks)
-    assert head.endswith('"polynomial": ')
-    assert first_polynomial.startswith("[")
+    # the first word's fields open the first run of its polynomial's terms
+    assert head.endswith('"words": ')
+    assert first_polynomial.startswith("[") and '"polynomial": [' in first_polynomial
     assert sum(calls.values()) <= 1
+
+
+def test_text_lines_write_long_polynomials_in_runs():
+    lines = list(decompose(3, 6, "sym").text_lines(expand=True))  # up to 406 terms
+    assert max(line.count(" + ") + line.count(" - ") for line in lines) <= TERMS_PER_PIECE
+    assert any(not line.endswith("\n") for line in lines)
 
 
 @pytest.mark.parametrize("expand", [False, True])

@@ -1,4 +1,5 @@
-"""`Polynomial.to_json_text` against the `json` encoder it stands in for."""
+"""The JSON writers, `Polynomial.json_pieces` and
+`DecompositionReport.json_chunks`, against the `json` encoder they stand in for."""
 
 import json
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plethysm.polynomials import MAX_COL, MAX_DEGREE, MAX_ROW, Monomial, Polynomial, variable
+from plethysm.hwv import decompose
+from plethysm.polynomials import (MAX_COL, MAX_DEGREE, MAX_ROW, TERMS_PER_PIECE, Monomial,
+                                  Polynomial, variable)
 
 VARS = [(r, c) for r in range(1, MAX_ROW + 1) for c in range(1, MAX_COL + 1)]
 LEVELS = (0, 6, 10)
@@ -55,3 +58,73 @@ def test_emitter_layout_is_the_documented_one():
     assert Polynomial.zero().to_json_text(10) == "[]"
     assert Polynomial.constant(-2).to_json_text(0) == (
         '[\n  {\n    "coeff": "-2",\n    "exps": []\n  }\n]')
+
+
+@given(polynomials, st.sampled_from(LEVELS))
+def test_pieces_join_to_the_text(p, level):
+    assert "".join(p.json_pieces(level, "<")) == "<" + p.to_json_text(level)
+    assert "".join(p.text_pieces("<", ">")) == "<" + str(p) + ">"
+
+
+def test_pieces_hold_runs_of_terms():
+    p = Polynomial({Monomial({(1, 1): i % 16, (2, 1): i // 16}): (-1) ** i
+                    for i in range(2 * TERMS_PER_PIECE + 1)})
+    runs = [TERMS_PER_PIECE, TERMS_PER_PIECE, 1]
+    assert [piece.count('"coeff"') for piece in p.json_pieces(4)] == runs
+    # the leading term has no sign between spaces
+    assert [piece.count(" + ") + piece.count(" - ") for piece in p.text_pieces()] == [
+        TERMS_PER_PIECE - 1, TERMS_PER_PIECE, 1]
+
+
+def _word_objs(words, expand):
+    if expand:
+        return [dict(w.to_json_obj(), polynomial=w.expand().to_json_obj()) for w in words]
+    return [w.to_json_obj() for w in words]
+
+
+def _report_obj(report, expand):
+    obj = report.to_json_obj()
+    for entry, words in zip(obj["entries"], (e.words for e in report.entries)):
+        entry["words"] = _word_objs(words, expand)
+    return obj
+
+
+def _dumped(obj):
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+# Expanded documents up to m = 8 (k = 3), where a polynomial has up to 1017
+# terms, eight runs; the larger expanded documents are pinned by sha256 in
+# tests/test_cli.py.
+INSTANCES = [(k, m, variant, expand)
+             for k in (2, 3) for variant in ("sym", "alt") for m in range(variant == "alt", 13)
+             for expand in (False, True) if not (expand and k == 3 and m > 8)]
+
+
+@pytest.mark.parametrize("k, m, variant, expand", INSTANCES)
+def test_report_chunks_match_the_json_encoder(k, m, variant, expand):
+    report = decompose(k, m, variant)
+    assert "".join(report.json_chunks(expand)) == _dumped(_report_obj(report, expand))
+
+
+@pytest.mark.parametrize("expand", [False, True])
+@pytest.mark.parametrize("k, m, variant, shape", [
+    (3, 6, "sym", (12, 6)), (3, 8, "alt", (12, 9, 3)), (3, 2, "alt", (6,)),
+    (2, 7, "alt", (9, 5)), (2, 4, "sym", (7, 1)),
+], ids=["k3-sym", "k3-alt", "no-words", "k2-alt", "k2-no-words"])
+def test_hwv_chunks_match_the_json_encoder(k, m, variant, shape, expand):
+    report = decompose(k, m, variant)
+    words = report.words_of(shape)
+    assert bool(words) == (shape not in ((6,), (7, 1)))
+    obj = {"k": k, "m": m, "variant": variant, "shape": list(shape),
+           "words": _word_objs(words, expand)}
+    assert "".join(report.json_chunks(expand, shape)) == _dumped(obj)
+
+
+def test_chunks_are_bounded():
+    """No piece holds more than one run of terms, and without expansion no
+    piece comes near the size of a document."""
+    for chunk in decompose(3, 8, "sym").json_chunks(expand=True):
+        assert chunk.count('"coeff"') <= TERMS_PER_PIECE
+    chunks = list(decompose(3, 60, "sym").json_chunks())
+    assert max(map(len, chunks)) <= 64 * 1024 < sum(map(len, chunks))

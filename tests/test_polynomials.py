@@ -227,9 +227,17 @@ def test_json_round_trip():
     # kept only the last entry before
     ([{"coeff": "1", "exps": [[1, 1, 1], [1, 1, 1]]}], "listed twice"),
     ([{"coeff": "1", "exps": [[1, 1, 1], [2, 1, 1], [1, 1, 2]]}], "listed twice"),
+    # a KeyError or a TypeError before
+    ([{"exps": []}], "not an object"),
+    ([{"coeff": "1"}], "not an object"),
+    ([5], "not an object"),
+    (5, "list of terms"),
+    ([{"coeff": 1, "exps": 3}], "not an object"),
+    ([{"coeff": 1, "exps": [5]}], "three ints"),
 ], ids=["float-coeff", "float-string-coeff", "bool-coeff", "padded-coeff", "float-row",
         "bool-row", "bool-col", "float-exp", "short-entry", "variable-twice",
-        "variable-twice-apart"])
+        "variable-twice-apart", "no-coeff", "no-exps", "term-not-object", "not-a-list",
+        "exps-not-a-list", "entry-not-a-list"])
 def test_json_reading_is_exact(obj, message):
     with pytest.raises(ValueError, match=message):
         Polynomial.from_json_obj(obj)
