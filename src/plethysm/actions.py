@@ -16,7 +16,7 @@ provided so they can be checked against each other.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .polynomials import Polynomial, ZeroPolynomialError, variable
 

@@ -39,13 +39,12 @@ whole text of one polynomial is ever held in memory.  Two consequences:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
-from typing import Iterable, Iterator
 
 from . import hwv, oracle, polynomials, tableaux, verify
 
@@ -239,7 +238,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     results = verify.run_verification(m_max=args.m)
     ok = all(r.passed for r in results)
     if args.format == "json":
-        obj = {"passed": ok, "checks": [dataclasses.asdict(r) for r in results]}
+        obj = {"passed": ok, "checks": [r._asdict() for r in results]}
         _emit((json.dumps(obj, indent=2, ensure_ascii=False) + "\n",), args.output)
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results]

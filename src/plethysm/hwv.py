@@ -45,11 +45,11 @@ attaches delta[1][i] to the complementary product of first-row variables, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .polynomials import Polynomial, _check_degree, variable
 from .tableaux import Diagram, column_minor, normalize_partition, pad
@@ -144,12 +144,13 @@ def phi_images_k3() -> dict[str, Polynomial]:
     return {"sigma2": sigma2, "sigma3": sigma3, "delta": delta}
 
 
-@dataclass(frozen=True)
-class DiscriminantCheck:
-    """Outcome of the degree-six discriminant identity check."""
+class DiscriminantCheck(namedtuple("DiscriminantCheck",
+                                   "corrected_holds gamma1_variant_holds")):
+    """Outcome of the degree-six discriminant identity check:
+    ``corrected_holds`` is 4*alpha2^3 - alpha3^2 == 27*alpha1^2*gamma2^2, and
+    ``gamma1_variant_holds`` the same with gamma1 in place of gamma2."""
 
-    corrected_holds: bool  # 4*alpha2^3 - alpha3^2 == 27*alpha1^2*gamma2^2
-    gamma1_variant_holds: bool  # the same with gamma1 in place of gamma2
+    __slots__ = ()
 
 
 def verify_discriminant_relation() -> DiscriminantCheck:
@@ -185,21 +186,24 @@ _WEIGHT_ROWS = {k: tuple(zip(*(weight for _, _, _, weight in table)))
                 for k, table in _FACTORS.items()}
 
 
-@lru_cache(maxsize=None)
-def _int_fields(word_class: type) -> tuple[str, ...]:
-    # the annotations are strings, as this module postpones their evaluation
-    return tuple(field.name for field in fields(word_class) if field.type == "int")
-
-
 class _Word:
     """Grade, weight, expansion and printed form of a word, read off the
-    factor table of its k.  A subclass is a dataclass that sets ``_k`` and
-    gives ``exponents()``, one per row of the table."""
+    factor table of its k.  A subclass is also a named tuple of the word's
+    fields; it sets ``_k``, gives ``exponents()``, one per row of the table,
+    and checks its fields in ``__new__``."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> "_Word":
+        """The word of these fields, checked; ``_replace`` and ``copy.replace``
+        build their words here."""
+        return cls(*iterable)
+
+    def _check_ints(self, count: int) -> None:
+        """Raise ValueError unless the first ``count`` fields are ints >= 0."""
         # a float or a bool would print, weigh and hash like the int it equals
-        for name in _int_fields(type(self)):
-            value = getattr(self, name)
+        for name, value in zip(self._fields[:count], self):
             if type(value) is not int or value < 0:
                 raise ValueError(f"word field {name} must be a nonnegative int, got {value!r}")
 
@@ -258,8 +262,7 @@ def _generator_power(k: int, name: str, exp: int) -> Polynomial:
     return powers[exp]
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorWord(_Word):
+class GeneratorWord(_Word, namedtuple("GeneratorWord", "a b c d e f variant")):
     """A word alpha1^a * alpha2^b * alpha3^c * gamma1^p * gamma2^q.
 
     The gamma exponents are encoded through (d, e, f) so that each parity
@@ -271,25 +274,21 @@ class GeneratorWord(_Word):
 
     c is 0 or 1 throughout (alpha3^2 reduces against the discriminant
     identity), and sym words span the S_3-invariants, alt words the
-    sign-equivariants.  Words order by their fields, in field order.
+    sign-equivariants.  A word is the tuple of its fields: it orders, hashes
+    and compares equal like that tuple.  Its fields a to f are ints.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    variant: str
-
+    __slots__ = ()
     _k = 3
 
-    def __post_init__(self):
-        super().__post_init__()
-        if (self.variant, self.f) not in _FAMILIES:
-            raise ValueError(f"no word family has variant {self.variant!r} and f={self.f}")
-        if self.c > 1:
+    def __new__(cls, a, b, c, d, e, f, variant):
+        word = tuple.__new__(cls, (a, b, c, d, e, f, variant))
+        word._check_ints(6)
+        if (variant, f) not in _FAMILIES:
+            raise ValueError(f"no word family has variant {variant!r} and f={f}")
+        if c > 1:
             raise ValueError("alpha3 exponent c must be 0 or 1")
+        return word
 
     def exponents(self) -> tuple[int, int, int, int, int]:
         """(a, b, c, p, q), the exponents of alpha1, alpha2, alpha3, gamma1, gamma2."""
@@ -324,8 +323,10 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
     The grade is a + 2b + 3c + 2d + 4e + x with x = (p - 2d) + 2(q - 2e) in
     0..3, and each x belongs to one family, so each (a, b, c, d) gives one
     word; looping over them in field order lists the words in sorted order.
+    These loops give only valid fields, so the words are built unchecked.
     """
     _check_component(m, variant)
+    new = tuple.__new__
     words = []
     for a in range(m + 1):
         for b in range((m - a) // 2 + 1):
@@ -335,7 +336,7 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
                     e, x = divmod(rest - 2 * d, 4)
                     family, f = _FAMILY_OF_X[x]
                     if (family == "sym") == (variant == "sym"):
-                        words.append(GeneratorWord(a, b, c, d, e, f, family))
+                        words.append(new(GeneratorWord, (a, b, c, d, e, f, family)))
     return words
 
 
@@ -374,14 +375,16 @@ def multiplicity_closed_form(shape, variant: str) -> int:
     return max(value, 0)
 
 
-@dataclass(frozen=True, order=True)
-class WordK2(_Word):
-    """A word alpha^i * gamma^j for k = 2."""
+class WordK2(_Word, namedtuple("WordK2", "i j")):
+    """A word alpha^i * gamma^j for k = 2, the tuple (i, j) of ints."""
 
-    i: int
-    j: int
-
+    __slots__ = ()
     _k = 2
+
+    def __new__(cls, i, j):
+        word = tuple.__new__(cls, (i, j))
+        word._check_ints(2)
+        return word
 
     def exponents(self) -> tuple[int, int]:
         return (self.i, self.j)
@@ -390,24 +393,21 @@ class WordK2(_Word):
         return {"alpha": self.i, "gamma": self.j}
 
 
-@dataclass(frozen=True)
-class DecompositionEntry:
-    diagram: Diagram
-    words: tuple
+class DecompositionEntry(namedtuple("DecompositionEntry", "diagram words")):
+    """One constituent: its diagram and the tuple of its words."""
+
+    __slots__ = ()
 
     @property
     def multiplicity(self) -> int:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """The full list of constituents of one plethysm component."""
+class DecompositionReport(namedtuple("DecompositionReport", "k m variant entries")):
+    """The full list of constituents of one plethysm component: ``entries``
+    is a tuple of ``DecompositionEntry``."""
 
-    k: int
-    m: int
-    variant: str
-    entries: tuple[DecompositionEntry, ...]
+    __slots__ = ()
 
     def multiplicities(self) -> dict[Diagram, int]:
         return {entry.diagram: entry.multiplicity for entry in self.entries}

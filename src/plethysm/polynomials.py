@@ -29,9 +29,9 @@ key where one crosses the API.  Both types are immutable.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from functools import lru_cache, reduce, total_ordering
 from operator import or_
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
 class ZeroPolynomialError(ValueError):
@@ -59,7 +59,6 @@ MAX_DEGREE = (1 << FIELD_BITS) - 1
 _VARS: tuple[VarId, ...] = tuple(
     (row, col) for col in range(1, MAX_COL + 1) for row in range(1, MAX_ROW + 1)
 )
-_NAMES = tuple(f"x[{row}][{col}]" for row, col in _VARS)
 _SHIFT = {var: FIELD_BITS * (len(_VARS) - 1 - i) for i, var in enumerate(_VARS)}
 _DEGREE_SHIFT = FIELD_BITS * len(_VARS)
 _DEGREE_ONE = 1 << _DEGREE_SHIFT
@@ -147,10 +146,11 @@ def _decode(key: int) -> list[tuple[VarId, int]]:
 
 
 def _key_str(key: int) -> str:
+    """The monomial as ``str`` writes it: one looked-up text per column."""
     if not key:
         return "1"
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in zip(_NAMES, _fields(key)) if e)
+    return "*".join([texts[group] for shift, texts in _TEXT_COLUMNS
+                     if (group := key >> shift & _COLUMN_MASK)])
 
 
 def _term_str(key: int, coeff: int) -> str:
@@ -451,7 +451,8 @@ class Polynomial:
     def text_pieces(self, head: str = "", tail: str = "") -> Iterator[str]:
         """``head + str(self) + tail`` in pieces of at most ``TERMS_PER_PIECE``
         terms each, head at the start of the first and tail at the end of the
-        last; the zero polynomial is the one piece ``head + "0" + tail``."""
+        last; the zero polynomial is the one piece ``head + "0" + tail``.  A
+        term's variables are one looked-up text per column that it touches."""
         terms = self._terms
         if not terms:
             yield head + "0" + tail
@@ -537,31 +538,43 @@ _COLUMN_MASK = (1 << _COLUMN_BITS) - 1
 
 class _ColumnTexts(dict):
     """For one column: its field group -> the text of that group's nonzero
-    ``[row, col, exp]`` triples, as ``Polynomial.json_pieces`` writes them;
-    an entry is built on its first lookup."""
+    exponents, ``write(row, exp)`` for each, joined by ``sep``; an entry is
+    built on its first lookup."""
 
-    def __init__(self, col: int, pad: str):
+    def __init__(self, sep: str, write: Callable[[int, int], str]):
         super().__init__()
-        self.col, self.pad = col, pad
+        self.sep, self.write = sep, write
 
     def __missing__(self, group: int) -> str:
-        col, pad = self.col, self.pad
-        text = self[group] = ("," + pad + "      ").join(
-            f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"
-            for row, e in enumerate(group.to_bytes(MAX_ROW, "big"), 1) if e
-        )
+        text = self[group] = self.sep.join([
+            self.write(row, e) for row, e in enumerate(group.to_bytes(MAX_ROW, "big"), 1) if e
+        ])
         return text
 
 
 @lru_cache(maxsize=None)
 def _json_layout(level: int) -> tuple[str, tuple[tuple[int, _ColumnTexts], ...]]:
     """The line break for ``level`` and, per column in chain order, the shift
-    of its field group and its ``_ColumnTexts``."""
+    of its field group and its ``_ColumnTexts`` of ``[row, col, exp]``
+    triples, as ``Polynomial.json_pieces`` writes them."""
     pad = "\n" + " " * level
-    return pad, tuple(
-        (_COLUMN_BITS * (MAX_COL - col), _ColumnTexts(col, pad))
-        for col in range(1, MAX_COL + 1)
-    )
+
+    def triples(col: int) -> _ColumnTexts:
+        return _ColumnTexts("," + pad + "      ", lambda row, e: (
+            f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"))
+
+    return pad, tuple((_COLUMN_BITS * (MAX_COL - col), triples(col))
+                      for col in range(1, MAX_COL + 1))
+
+
+def _power_texts(col: int) -> _ColumnTexts:
+    """The ``_ColumnTexts`` of variable powers that ``str`` writes: x[1][2]^3*x[2][2]."""
+    return _ColumnTexts("*", lambda row, e: f"x[{row}][{col}]^{e}" if e > 1 else f"x[{row}][{col}]")
+
+
+# per column in chain order, the shift of its field group and its powers' text
+_TEXT_COLUMNS = tuple((_COLUMN_BITS * (MAX_COL - col), _power_texts(col))
+                      for col in range(1, MAX_COL + 1))
 
 
 def variable(row: int, col: int) -> Polynomial:

@@ -9,9 +9,8 @@ loudly as a wrong multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from importlib import resources
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from . import actions, hwv, oracle, tableaux
 from .polynomials import Monomial
@@ -28,14 +27,16 @@ def _components(m_lo: int, m_hi: int) -> Iterator[tuple[int, str]]:
 GOLDEN_CASES = tuple(_components(1, 6))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    """The outcome of one named check: whether it passed, and what it found."""
+
+    __slots__ = ()
 
 
 def load_golden_text(m: int, variant: str) -> str:
+    # imported here: from Python 3.12 on, importlib.resources imports inspect
+    from importlib import resources
+
     golden = resources.files("plethysm").joinpath(f"data/golden/k3_m{m}_{variant}.json")
     return golden.read_text(encoding="utf-8")
 
@@ -439,7 +440,7 @@ def run_verification(m_max: int = 3, n: int = 3) -> list[CheckResult]:
         """``check(min(m_max, CAPS[cap]), *args)``, saying so if it stops below m_max."""
         result = check(min(m_max, CAPS[cap]), *args)
         note = f"; capped at {CAPS[cap]} below m = {m_max}" if m_max > CAPS[cap] else ""
-        return replace(result, detail=result.detail + note)
+        return result._replace(detail=result.detail + note)
     return [
         check_generators_un_invariant(),
         check_generators_symmetry_type(),

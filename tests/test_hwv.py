@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -140,6 +142,70 @@ def test_word_validation():
 def test_word_fields_are_exact_nonnegative_ints(build):
     with pytest.raises(ValueError, match="must be a nonnegative int"):
         build()
+
+
+WORD = GeneratorWord(1, 0, 1, 0, 0, 1, "sym")
+
+# every way to build a word from fields; copy.replace exists from Python 3.13
+BUILDS = {
+    "call": lambda fields: GeneratorWord(*fields),
+    "keywords": lambda fields: GeneratorWord(**dict(zip(GeneratorWord._fields, fields))),
+    "make": GeneratorWord._make,
+    "replace": lambda fields: WORD._replace(**dict(zip(GeneratorWord._fields, fields))),
+    # a pickle made of unchecked fields is checked when it is read
+    "unpickle": lambda fields: pickle.loads(pickle.dumps(tuple.__new__(GeneratorWord, fields))),
+}
+if hasattr(copy, "replace"):
+    BUILDS["copy-replace"] = lambda fields: copy.replace(
+        WORD, **dict(zip(GeneratorWord._fields, fields)))
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+@pytest.mark.parametrize("fields, message", [
+    ((1, 0, 2, 0, 0, 1, "sym"), "c must be 0 or 1"),
+    ((1.0, 0, 1, 0, 0, 1, "sym"), "must be a nonnegative int"),
+    ((1, 0, 1, 0, 0, True, "sym"), "must be a nonnegative int"),
+    ((1, 0, 1, 0, -1, 1, "sym"), "must be a nonnegative int"),
+    ((1, 0, 1, 0, 0, 1, "alt_gamma1"), "no word family"),
+], ids=["c-2", "a-float", "f-bool", "e-negative", "family"])
+def test_every_way_to_build_a_word_checks_its_fields(build, fields, message):
+    with pytest.raises(ValueError, match=message):
+        build(fields)
+
+
+def test_replace_checks_the_fields_it_changes():
+    with pytest.raises(ValueError, match="c must be 0 or 1"):
+        WORD._replace(c=2)
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        WORD._replace(a=1.0)
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        WordK2._make((True, 0))
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        WordK2(1, 2)._replace(j=-1)
+    assert WORD._replace(c=0) == GeneratorWord(1, 0, 0, 0, 0, 1, "sym")
+
+
+@pytest.mark.parametrize("word", [WORD, GeneratorWord(0, 3, 0, 2, 1, 0, "alt_gamma2"),
+                                  WordK2(4, 1)], ids=["k3-sym", "k3-alt", "k2"])
+def test_a_word_is_the_tuple_of_its_fields(word):
+    fields = tuple(word)
+    assert word == fields and hash(word) == hash(fields)
+    assert type(word)._make(fields) == word
+    again = pickle.loads(pickle.dumps(word))
+    assert (type(again), again) == (type(word), word)
+    assert copy.deepcopy(word) == word
+    assert word._asdict() == dict(zip(type(word)._fields, fields))
+    assert repr(word) == type(word).__name__ + "(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(word._fields, fields)) + ")"
+    assert not hasattr(word, "__dict__")
+
+
+def test_listed_words_pass_the_checks_they_skip():
+    """enumerate_basis builds its words unchecked; each is a valid word."""
+    for m in range(41):
+        for variant in ("sym", "alt") if m else ("sym",):
+            for w in enumerate_basis(m, variant):
+                assert type(w) is GeneratorWord and GeneratorWord._make(w) == w
 
 
 def test_word_grade_weight_match_expansion():
@@ -295,7 +361,11 @@ def test_report_rejects_a_multiplicity_that_disagrees_with_its_words():
     # equal to the ints they replace, but not ints
     (1, lambda obj: obj["entries"][0].update(diagram=[3.0])),
     (1, lambda obj: obj["entries"][0]["words"][0].update(a=True)),
-], ids=["diagram", "m", "order", "variant", "k", "diagram-float", "word-bool"])
+    (1, lambda obj: obj["entries"][0]["words"][0].update(a=1.0)),
+    # not a word at all: alpha3 squared
+    (6, lambda obj: obj["entries"][0]["words"][0].update(a=0, c=2)),
+], ids=["diagram", "m", "order", "variant", "k", "diagram-float", "word-bool",
+        "word-float", "word-c-2"])
 def test_report_rejects_a_document_that_is_not_its_decomposition(m, change):
     obj = json.loads(verify.load_golden_text(m, "sym"))
     change(obj)

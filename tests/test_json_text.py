@@ -1,5 +1,6 @@
 """The JSON writers, `Polynomial.json_pieces` and
-`DecompositionReport.json_chunks`, against the `json` encoder they stand in for."""
+`DecompositionReport.json_chunks`, against the `json` encoder they stand in for,
+and the text writer, `Polynomial.text_pieces`, against the one it replaced."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import text_reference
 from plethysm.hwv import decompose
 from plethysm.polynomials import (MAX_COL, MAX_DEGREE, MAX_ROW, TERMS_PER_PIECE, Monomial,
                                   Polynomial, variable)
@@ -64,6 +66,35 @@ def test_emitter_layout_is_the_documented_one():
 def test_pieces_join_to_the_text(p, level):
     assert "".join(p.json_pieces(level, "<")) == "<" + p.to_json_text(level)
     assert "".join(p.text_pieces("<", ">")) == "<" + str(p) + ">"
+
+
+@given(polynomials, monomials())
+def test_text_matches_the_replaced_writer(p, mono):
+    assert list(p.text_pieces("<", ">")) == list(text_reference.text_pieces(p, "<", ">"))
+    assert str(mono) == text_reference.monomial_str(mono)
+
+
+@pytest.mark.parametrize("p", [
+    Polynomial.zero(),
+    Polynomial.constant(-7),
+    Polynomial.constant(1) + variable(1, 1),
+    -(3 * variable(4, 1) * variable(1, 4) - variable(4, 4) ** 2 + 1),
+    variable(4, 4) ** MAX_DEGREE - (1 << 65) * variable(1, 1) ** MAX_DEGREE,
+], ids=["zero", "constant", "one-plus-variable", "row-and-column-4", "max-degree"])
+def test_text_edge_cases_match_the_replaced_writer(p):
+    assert list(p.text_pieces("<", ">")) == list(text_reference.text_pieces(p, "<", ">"))
+    assert str(p) == "".join(text_reference.text_pieces(p))
+
+
+@pytest.mark.parametrize("variant", ["sym", "alt"])
+def test_expanded_words_print_as_the_replaced_writer_printed_them(variant):
+    """Every k = 3 word of grade at most 8, up to 1017 terms and eight runs."""
+    for m in range(variant == "alt", 9):
+        for w in decompose(3, m, variant).words():
+            p = w.expand()
+            head = f"      {w} = "
+            assert list(p.text_pieces(head, "\n")) == list(
+                text_reference.text_pieces(p, head, "\n"))
 
 
 def test_pieces_hold_runs_of_terms():
