@@ -50,32 +50,23 @@ def permutation_sign(tau: Permutation) -> int:
 
 
 def permute_columns(f: Polynomial, tau: Permutation) -> Polynomial:
-    """Send x[i][j] to x[i][tau(j)] for every variable of f."""
-    k = len(tau)
-
-    def rename(row: int, col: int) -> tuple[int, int]:
-        if col > k:
-            raise ValueError(f"column {col} out of range for a permutation of {k} columns")
-        return (row, tau[col - 1])
-
-    return f.rename_variables(rename)
+    """Send x[i][j] to x[i][tau(j)] for every variable of f; ValueError unless
+    tau is a permutation of 1..k, k = len(tau), that covers every column of f."""
+    k, used = len(tau), max((col for _, col in f.variables()), default=0)
+    if used > k:
+        raise ValueError(f"column {used} out of range for a permutation of {k} columns")
+    return f.permute_columns(tau)
 
 
 def symmetrize(f: Polynomial, k: int) -> Polynomial:
     """Unnormalized symmetrizer: the sum of all k! column permutations of f."""
-    total = Polynomial.zero()
-    for tau in all_permutations(k):
-        total = total + permute_columns(f, tau)
-    return total
+    return sum((permute_columns(f, tau) for tau in all_permutations(k)), Polynomial.zero())
 
 
 def antisymmetrize(f: Polynomial, k: int) -> Polynomial:
     """Unnormalized antisymmetrizer: the signed sum of all column permutations."""
-    total = Polynomial.zero()
-    for tau in all_permutations(k):
-        g = permute_columns(f, tau)
-        total = total + (g if permutation_sign(tau) == 1 else -g)
-    return total
+    return sum((permutation_sign(tau) * permute_columns(f, tau) for tau in all_permutations(k)),
+               Polynomial.zero())
 
 
 def raising_operator(f: Polynomial, p: int, q: int) -> Polynomial:

@@ -585,8 +585,9 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     if type(k) is not int or k not in (2, 3):
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
     _check_component(m, variant)
-    words = (enumerate_basis(m, variant) if k == 3
-             else [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)])
+    # as in enumerate_basis, the k = 2 loop gives only valid fields: no checks
+    words = (enumerate_basis(m, variant) if k == 3 else
+             [tuple.__new__(WordK2, (m - j, j)) for j in range(variant == "alt", m + 1, 2)])
     by_weight: dict[tuple[int, ...], list] = {}
     for w in words:
         by_weight.setdefault(w.weight(), []).append(w)

@@ -29,7 +29,7 @@ key where one crosses the API.  Both types are immutable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce, total_ordering
 from operator import or_
 
@@ -63,6 +63,10 @@ _SHIFT = {var: FIELD_BITS * (len(_VARS) - 1 - i) for i, var in enumerate(_VARS)}
 _DEGREE_SHIFT = FIELD_BITS * len(_VARS)
 _DEGREE_ONE = 1 << _DEGREE_SHIFT
 _KEY_BYTES = len(_VARS) + 1  # FIELD_BITS is 8: one byte per field
+_COLUMN_BITS = FIELD_BITS * MAX_ROW  # the fields of one column, row 1 highest
+_COLUMN_MASK = (1 << _COLUMN_BITS) - 1
+# the shift of each column's field group, in chain order
+_COLUMN_SHIFT = {col: _COLUMN_BITS * (MAX_COL - col) for col in range(1, MAX_COL + 1)}
 
 # The most terms in one piece of `Polynomial.text_pieces` or `json_pieces`.
 # Written out, a polynomial of the --expand limit runs to megabytes; runs of
@@ -403,14 +407,26 @@ class Polynomial:
 
         return Polynomial._make(_sum_terms(images_of_terms()))
 
-    def rename_variables(self, rename: Callable[[int, int], VarId]) -> "Polynomial":
-        """Apply the monomial map x[i][j] -> x[rename(i, j)]."""
-        def image(key: int) -> int:
-            return _encode(_sum_terms((rename(*var), e) for var, e in _decode(key)))
-
-        return Polynomial._make(
-            _sum_terms((image(key), coeff) for key, coeff in self._terms.items())
-        )
+    def permute_columns(self, tau: Sequence[int]) -> "Polynomial":
+        """Send x[i][j] to x[i][tau(j)]; tau permutes 1..len(tau) and fixes the
+        columns past it.  Each column's field group moves to that of column
+        tau(j) and the degree field stays: keys map one to one, so nothing is
+        decoded or added up.  ValueError if tau is not a permutation or sends a
+        column in use outside the layout."""
+        if sorted(tau) != list(range(1, len(tau) + 1)):
+            raise ValueError(f"{tuple(tau)} is not a permutation of 1..{len(tau)}")
+        used = reduce(or_, self._terms, 0)
+        moves = [(shift, _COLUMN_SHIFT.get(image))  # the groups in use that move
+                 for (col, shift), image in zip(_COLUMN_SHIFT.items(), tau)
+                 if image != col and used >> shift & _COLUMN_MASK]
+        if any(to is None for _, to in moves):
+            raise ValueError(f"{tuple(tau)} sends a column in use outside the "
+                             f"{MAX_ROW}-by-{MAX_COL} layout")
+        kept = ~sum([_COLUMN_MASK << shift for shift, _ in moves])
+        return Polynomial._make({
+            (key & kept) + sum([(key >> s & _COLUMN_MASK) << t for s, t in moves]): coeff
+            for key, coeff in self._terms.items()
+        })
 
     def partial_derivative(self, row: int, col: int) -> "Polynomial":
         """Formal partial derivative with respect to x[row][col]."""
@@ -477,16 +493,11 @@ class Polynomial:
             for key in sorted(terms, reverse=True)
         ]
 
-    def to_json_text(self, level: int = 0) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False)``, every
-        line after the first indented by ``level`` more spaces: the joined
-        ``json_pieces(level)``."""
-        return "".join(self.json_pieces(level))
-
     def json_pieces(self, level: int = 0, head: str = "") -> Iterator[str]:
-        """``head + self.to_json_text(level)`` in pieces of at most
-        ``TERMS_PER_PIECE`` terms each, head at the start of the first,
-        written from the keys without building the list of dicts.
+        """``head + json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False)``
+        with every line after the first indented by ``level`` more spaces, in
+        pieces of at most ``TERMS_PER_PIECE`` terms each, head at the start of
+        the first, written from the keys without building the list of dicts.
 
         ``level`` is the indent of the line that holds the polynomial, so the
         text can be spliced into a larger ``indent=2`` document.  A term's
@@ -532,10 +543,6 @@ class Polynomial:
         return cls._make(_sum_terms(map(_json_term, obj)))
 
 
-_COLUMN_BITS = FIELD_BITS * MAX_ROW  # the fields of one column, row 1 highest
-_COLUMN_MASK = (1 << _COLUMN_BITS) - 1
-
-
 class _ColumnTexts(dict):
     """For one column: its field group -> the text of that group's nonzero
     exponents, ``write(row, exp)`` for each, joined by ``sep``; an entry is
@@ -563,8 +570,7 @@ def _json_layout(level: int) -> tuple[str, tuple[tuple[int, _ColumnTexts], ...]]
         return _ColumnTexts("," + pad + "      ", lambda row, e: (
             f"[{pad}        {row},{pad}        {col},{pad}        {e}{pad}      ]"))
 
-    return pad, tuple((_COLUMN_BITS * (MAX_COL - col), triples(col))
-                      for col in range(1, MAX_COL + 1))
+    return pad, tuple((shift, triples(col)) for col, shift in _COLUMN_SHIFT.items())
 
 
 def _power_texts(col: int) -> _ColumnTexts:
@@ -573,8 +579,7 @@ def _power_texts(col: int) -> _ColumnTexts:
 
 
 # per column in chain order, the shift of its field group and its powers' text
-_TEXT_COLUMNS = tuple((_COLUMN_BITS * (MAX_COL - col), _power_texts(col))
-                      for col in range(1, MAX_COL + 1))
+_TEXT_COLUMNS = tuple((shift, _power_texts(col)) for col, shift in _COLUMN_SHIFT.items())
 
 
 def variable(row: int, col: int) -> Polynomial:

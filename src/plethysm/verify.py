@@ -435,7 +435,10 @@ CAPS = {"word_grade": 8, "character_oracle": 5, "kernel_oracle": 3,
 
 
 def run_verification(m_max: int = 3, n: int = 3) -> list[CheckResult]:
-    """Run every check; heavier checks scale with m_max and n."""
+    """Run every check; heavier checks scale with m_max and n.  ValueError,
+    before any check runs, unless m_max is an int >= 0 and n an int >= 3."""
+    if type(m_max) is not int or m_max < 0 or type(n) is not int or n < 3:
+        raise ValueError(f"need an int m_max >= 0 and an int n >= 3, got {m_max!r}, {n!r}")
     def capped(cap: str, check, *args) -> CheckResult:
         """``check(min(m_max, CAPS[cap]), *args)``, saying so if it stops below m_max."""
         result = check(min(m_max, CAPS[cap]), *args)

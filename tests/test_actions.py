@@ -47,6 +47,17 @@ def test_permute_columns_on_variables():
     assert g == x(1, 2) * x(2, 1)
 
 
+@pytest.mark.parametrize("tau", [(1, 1), (0, 1), (1, 3)])
+def test_permute_columns_refuses_a_tau_that_is_not_a_permutation(tau):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+        permute_columns(x(1, 1) * x(1, 2), tau)
+
+
+def test_permute_columns_refuses_a_column_past_tau():
+    with pytest.raises(ValueError, match="column 3 out of range for a permutation of 2 columns"):
+        permute_columns(x(1, 1) * x(2, 3), (2, 1))
+
+
 def test_permute_is_group_action():
     f = generators_k3()["gamma2"] + 2 * x(1, 1) ** 3
     tau, rho = (2, 3, 1), (2, 1, 3)

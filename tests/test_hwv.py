@@ -201,11 +201,15 @@ def test_a_word_is_the_tuple_of_its_fields(word):
 
 
 def test_listed_words_pass_the_checks_they_skip():
-    """enumerate_basis builds its words unchecked; each is a valid word."""
+    """enumerate_basis and decompose(2, ...) build their words unchecked; each
+    is a valid word."""
     for m in range(41):
         for variant in ("sym", "alt") if m else ("sym",):
             for w in enumerate_basis(m, variant):
                 assert type(w) is GeneratorWord and GeneratorWord._make(w) == w
+            words = decompose(2, m, variant).words()
+            assert all(type(w) is WordK2 and WordK2._make(w) == w for w in words)
+            assert words == [WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)]
 
 
 def test_word_grade_weight_match_expansion():

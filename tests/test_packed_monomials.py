@@ -1,11 +1,14 @@
 """The packed-integer monomials against the tuple-of-pairs layout they replaced,
 and the limits of the packed layout."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
+from plethysm.actions import permute_columns
 from plethysm.polynomials import (
     MAX_COL,
     MAX_DEGREE,
@@ -99,14 +102,22 @@ def test_substitute_matches_the_tuple_layout(terms, image_terms):
          old.substitute({var: img[1] for var, img in images.items()}))
 
 
-@given(term_lists(), st.fixed_dictionaries({var: st.sampled_from(VARS) for var in VARS}))
-def test_rename_variables_matches_the_tuple_layout(terms, mapping):
+@given(term_lists())
+def test_permute_columns_matches_the_tuple_layout(terms):
+    """Every permutation of 1..k, k <= MAX_COL, against the general monomial
+    map it replaced; a column past k stays where it is, and the action
+    refuses it."""
     f, old = both(terms)
-
-    def rename(row, col):
-        return mapping[(row, col)]
-
-    same(f.rename_variables(rename), old.rename_variables(rename))
+    top = max((col for _, col in f.variables()), default=0)
+    for k in range(1, MAX_COL + 1):
+        for tau in itertools.permutations(range(1, k + 1)):
+            want = old.rename_variables(lambda row, col: (row, tau[col - 1] if col <= k else col))
+            same(f.permute_columns(tau), want)
+            if top > k:
+                with pytest.raises(ValueError, match="out of range"):
+                    permute_columns(f, tau)
+            else:
+                same(permute_columns(f, tau), want)
 
 
 @given(term_lists())
@@ -168,8 +179,8 @@ def test_variables_outside_the_layout_raise():
             variable(row, col)
         with pytest.raises(ValueError, match="outside"):
             Polynomial.from_json_obj([{"coeff": "1", "exps": [[row, col, 1]]}])
-        with pytest.raises(ValueError, match="outside"):
-            variable(1, 1).rename_variables(lambda i, j: (row, col))
+    with pytest.raises(ValueError, match="outside"):
+        variable(1, 1).permute_columns((5, 2, 3, 4, 1))
     with pytest.raises(ValueError, match="outside"):
         variable(1, 1).polarize(MAX_ROW + 1, 1)
     with pytest.raises(ValueError, match="1-based"):

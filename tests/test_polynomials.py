@@ -190,11 +190,6 @@ def test_cancelling_terms_are_dropped():
     assert monomials_of(Polynomial.from_json_obj(obj)) == {Monomial({(2, 2): 1})}
 
 
-def test_rename_variables_merges():
-    f = x(1, 1) * x(1, 2)
-    assert f.rename_variables(lambda i, j: (1, 1)) == x(1, 1) ** 2
-
-
 # ---------------------------------------------------------------------------
 # rendering
 

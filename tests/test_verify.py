@@ -101,6 +101,18 @@ def test_run_verification_past_the_recursion_limit():
     assert all(result.passed for result in results)
 
 
+@pytest.mark.parametrize("m_max, n", [(1, 2), (-1, 3), (0, 0), (1.0, 3), (True, 3),
+                                      (3, 3.0), (3, None)])
+def test_run_verification_refuses_arguments_outside_its_contract(monkeypatch, m_max, n):
+    """At n = 2 the oracles drop the three-row constituents and at m_max < 0
+    checks run over nothing: a bad argument must not read as a verdict."""
+    ran = []
+    monkeypatch.setattr(verify, "check_generators_un_invariant", lambda: ran.append(1))
+    with pytest.raises(ValueError, match=r"int m_max >= 0 and an int n >= 3"):
+        verify.run_verification(m_max, n)
+    assert ran == []
+
+
 def test_no_function_in_the_package_calls_itself():
     """The recursion-limit tests rely on the package never recursing: no
     function calls itself by bare name or through ``self.`` or ``cls.``."""
@@ -117,3 +129,21 @@ def test_no_function_in_the_package_calls_itself():
                         and callee.value.id in ("self", "cls")):
                     calls.append(f"{path.name}:{node.lineno} {func.name}")
     assert calls == []
+
+
+def test_only_polynomials_touches_the_packed_layout():
+    """The packed monomials stay behind one module: no other module of the
+    package reads ``_terms``, ``_key`` or ``_of``, or imports an underscore
+    name from ``polynomials`` other than ``_check_degree``."""
+    uses = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_key", "_of"):
+                uses.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "polynomials"):
+                uses.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and alias.name != "_check_degree")
+    assert uses == []
