@@ -16,10 +16,12 @@ Two cross-checks that share no code with the word enumeration:
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
    weight-D subspace of the invariant (or sign) isotypic component.  The
-   matrix is written in orbit coordinates: a column-sorted exponent matrix R
-   names v_R = Σ_σ (sgn σ)·σ·x^R, a nonzero multiple of its orbit sum, and
-   the entries are read off in one forward pass over the basis by moving one
-   unit between adjacent rows, with no polynomial arithmetic.  Its rank is
+   operators are written in orbit coordinates: a column-sorted exponent
+   matrix R names v_R = Σ_σ (sgn σ)·σ·x^R, a nonzero multiple of its orbit
+   sum.  Each basis vector gives one sparse row, its images under all the
+   operators, read off in one forward pass over the basis by moving one unit
+   between adjacent rows, with no polynomial arithmetic.  These rows form
+   the transpose of the operators' matrix, which has the same rank; it is
    found by sparse fraction-free elimination over Z, exact by construction.
 
 Both agree with the closed-form counts and with the explicit word bases; the
@@ -242,19 +244,26 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     return reps
 
 
-def _raising_rows(basis: list[tuple], alt: bool) -> list[list[int]]:
-    """The stacked matrix of every E_p, which moves a unit from row p + 1 to
-    row p (0-based), on the v_R named by `basis`: one row per target.
+def _raising_rows(basis: list[tuple], alt: bool) -> list[dict[int, int]]:
+    """The images under every E_p, which moves a unit from row p + 1 to row p
+    (0-based), of the v_R named by `basis`: one sparse row per basis vector.
 
     E_p commutes with column permutations, so E_p(v_R) = Σ_j R[j][p+1]·v_N,
     where N moves one unit of column j of R up from row p + 1.  With T the
     sorted N, v_N = v_T for sym; for alt v_N = ±v_T by the sign of the sort,
     or 0 if N repeats a column.  Targets of different p differ in weight, so
-    one dict holds them all.  On plain orbit sums the matrix differs by the
-    nonzero stabilizer orders on both sides, so rank and kernel agree.
+    one index numbers them all, in order of first appearance.  A row maps
+    target index to coefficient, and no entry is zero: two moves of one p
+    reach the same T only from equal columns, which add with one sign (alt
+    has no equal columns).  The rows are the transpose of the matrix of the
+    operators, which has the same rank; on plain orbit sums that matrix
+    differs by the nonzero stabilizer orders on both sides, so rank and
+    kernel agree.
     """
-    rows: dict[tuple, list[int]] = {}
-    for i, rep in enumerate(basis):
+    targets: dict[tuple, int] = {}
+    rows: list[dict[int, int]] = []
+    for rep in basis:
+        row: dict[int, int] = {}
         for j, col in enumerate(rep):
             for p in range(len(col) - 1):
                 count = col[p + 1]
@@ -269,35 +278,34 @@ def _raising_rows(basis: list[tuple], alt: bool) -> list[list[int]]:
                     # for distinct columns, the sign of the sort is (-1)^inversions
                     count *= (-1) ** ((a < b) + (a < c) + (b < c))
                 target = tuple(sorted(moved, reverse=True))
-                row = rows.get(target)
-                if row is None:
-                    row = rows[target] = [0] * len(basis)
-                row[i] += count
-    return list(rows.values())
+                t = targets.get(target)
+                if t is None:
+                    t = targets[target] = len(targets)
+                row[t] = row.get(t, 0) + count
+        rows.append(row)
+    return rows
 
 
-def rank_of_integer_matrix(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by sparse elimination over Z.
+def rank_of_integer_matrix(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse rows, by elimination over Z.
 
-    Each row r is divided by the gcd of its entries and reduced at its leading
-    column against the pivot row p found there, until it vanishes or leads in
-    a column with no pivot row yet, where it becomes one.  With leading
-    entries a of p and b of r, and g = gcd(a, b) taken with the sign of a, a
-    step replaces r by (a/g)·r - (b/g)·p, which clears that column.  Both
+    A row maps column to nonzero entry; the rows are not modified.  Each row
+    r is divided by the gcd of its entries and reduced at its leading column
+    against the pivot row p found there, until it vanishes or leads in a
+    column with no pivot row yet, where it becomes one.  With leading entries
+    a of p and b of r, and g = gcd(a, b) taken with the sign of a, a step
+    replaces r by (a/g)·r - (b/g)·p, which clears that column.  Both
     operations are invertible over Q given p, so the pivot rows and the rows
     still to come always span the row space of the input.  The pivot rows
     lead in distinct columns, so they are independent, and their count is
     the rank: every operation is exact in Z.
     """
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    # sparse rows first keep the pivot rows sparse; a stable sort keeps the
-    # given order within a length, and a repeated row reduces to zero
-    sparse = sorted(({j: a for j, a in enumerate(row) if a} for row in rows), key=len)
     # primitive pivot rows, by leading column
     pivots: dict[int, dict[int, int]] = {}
-    for r in sparse:
+    # sparse rows first keep the pivot rows sparse; a stable sort keeps the
+    # given order within a length, and a repeated row reduces to zero
+    for r in sorted(rows, key=len):
+        r = dict(r)  # reduced in place below
         while r:
             content = gcd(*r.values())
             if content != 1:
@@ -318,8 +326,6 @@ def rank_of_integer_matrix(rows: list[list[int]]) -> int:
                     r[j] = a
                 else:
                     del r[j]
-        if len(pivots) == ncols:
-            break
     return len(pivots)
 
 

@@ -408,14 +408,19 @@ class Polynomial:
         return Polynomial._make(_sum_terms(images_of_terms()))
 
     def permute_columns(self, tau: Sequence[int]) -> "Polynomial":
-        """Send x[i][j] to x[i][tau(j)]; tau permutes 1..len(tau) and fixes the
-        columns past it.  Each column's field group moves to that of column
-        tau(j) and the degree field stays: keys map one to one, so nothing is
-        decoded or added up.  ValueError if tau is not a permutation or sends a
-        column in use outside the layout."""
+        """Send x[i][j] to x[i][tau(j)], for tau a permutation of 1..len(tau).
+        Each column's field group moves to that of column tau(j) and the degree
+        field stays: keys map one to one, so nothing is decoded or added up.
+        ValueError if a column in use lies past len(tau), if tau is not a
+        permutation, or if it sends a column in use outside the layout."""
+        # a field group of the union of all keys is nonzero iff some term uses it
+        used = reduce(or_, self._terms, 0)
+        top = max((col for col, shift in _COLUMN_SHIFT.items()
+                   if used >> shift & _COLUMN_MASK), default=0)
+        if top > len(tau):
+            raise ValueError(f"column {top} out of range for a permutation of {len(tau)} columns")
         if sorted(tau) != list(range(1, len(tau) + 1)):
             raise ValueError(f"{tuple(tau)} is not a permutation of 1..{len(tau)}")
-        used = reduce(or_, self._terms, 0)
         moves = [(shift, _COLUMN_SHIFT.get(image))  # the groups in use that move
                  for (col, shift), image in zip(_COLUMN_SHIFT.items(), tau)
                  if image != col and used >> shift & _COLUMN_MASK]

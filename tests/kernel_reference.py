@@ -1,13 +1,18 @@
-"""The polynomial-based kernel oracle that the orbit-coordinate build replaced.
+"""The kernel oracles that the package's build replaced, kept as references.
 
-Each basis vector is the orbit sum (signed for Λ^3) of one column-sorted
-exponent matrix, built as a `Polynomial`; every adjacent raising operator is
-applied to it with `raising_operator`, and the images' coefficients, indexed
-by monomial, are the rows of the matrix whose rank gives the kernel.  This is
-the former body of `plethysm.oracle.hwv_kernel_multiplicity`, kept only as
-the reference for the differential test in `test_oracle.py`.  It shares the
-size bound, the error class and the exact rank with the package.  Like the
-polynomial layer it builds on, it holds matrices of at most 4 rows.
+`hwv_kernel_multiplicity` is the polynomial-based oracle.  Each basis vector
+is the orbit sum (signed for Λ^3) of one column-sorted exponent matrix, built
+as a `Polynomial`; every adjacent raising operator is applied to it with
+`raising_operator`, and the images' coefficients, indexed by monomial, are
+the rows of the matrix whose rank gives the kernel.  This is the former body
+of `plethysm.oracle.hwv_kernel_multiplicity`, kept only as the reference for
+the differential test in `test_oracle.py`.  It shares the size bound, the
+error class and the exact rank with the package.  Like the polynomial layer
+it builds on, it holds matrices of at most 4 rows.
+
+`raising_rows` is the former body of `plethysm.oracle._raising_rows`: the same
+operators in orbit coordinates, as dense rows, one per target.  The package
+now returns the transpose, one sparse row per basis vector.
 """
 
 from __future__ import annotations
@@ -105,4 +110,31 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         rows.extend(block)
     if not rows:
         return len(basis)
-    return len(basis) - rank_of_integer_matrix(rows)
+    return len(basis) - rank_of_integer_matrix(
+        [{j: a for j, a in enumerate(row) if a} for row in rows])
+
+
+def raising_rows(basis: list[tuple], alt: bool) -> list[list[int]]:
+    """The stacked matrix of every E_p on the v_R named by `basis`, one dense
+    row per target, targets in order of first appearance."""
+    rows: dict[tuple, list[int]] = {}
+    for i, rep in enumerate(basis):
+        for j, col in enumerate(rep):
+            for p in range(len(col) - 1):
+                count = col[p + 1]
+                if not count:
+                    continue
+                moved = list(rep)
+                moved[j] = col[:p] + (col[p] + 1, count - 1) + col[p + 2:]
+                if alt:
+                    a, b, c = moved
+                    if a == b or a == c or b == c:
+                        continue
+                    # for distinct columns, the sign of the sort is (-1)^inversions
+                    count *= (-1) ** ((a < b) + (a < c) + (b < c))
+                target = tuple(sorted(moved, reverse=True))
+                row = rows.get(target)
+                if row is None:
+                    row = rows[target] = [0] * len(basis)
+                row[i] += count
+    return list(rows.values())

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from collections import Counter
@@ -24,7 +25,7 @@ from plethysm.oracle import (
     weight_table_plethysm,
     weyl_dimension,
 )
-from plethysm.tableaux import kostka, normalize_partition
+from plethysm.tableaux import kostka, normalize_partition, pad
 
 
 def reference_weight_table(m, n, variant):
@@ -256,24 +257,61 @@ def test_kernel_size_guard_fires_before_any_row_is_built(monkeypatch):
 
 def test_raising_rows_on_hand_worked_bases():
     # Column vectors are (row 0, row 1, ...); v_R = Σ_σ (sgn σ)·σ·x^R.
+    # One row per basis vector, its image E_p(v_R) over every p: target
+    # index (in order of first appearance) -> coefficient.
     # sym, m = 1, n = 2, weight (2, 1): R = ((1,0),(1,0),(0,1)).  Only column
     # 2 can move up, R[2][1] = 1, onto T = ((1,0),(1,0),(1,0)), so E_0 v_R =
     # 1·v_T.  On plain orbit sums the entry was 3: the three monomials of R's
     # orbit each map onto x^T, whose orbit sum is x^T alone.
-    assert oracle._raising_rows([((1, 0), (1, 0), (0, 1))], False) == [[1]]
+    assert oracle._raising_rows([((1, 0), (1, 0), (0, 1))], False) == [{0: 1}]
     # sym, weight (0, 3): all three columns of R = ((0,1),(0,1),(0,1)) move
     # onto T = ((1,0),(0,1),(0,1)), so E_0 v_R = 3·v_T (orbit sums gave 1).
-    assert oracle._raising_rows([((0, 1), (0, 1), (0, 1))], False) == [[3]]
+    assert oracle._raising_rows([((0, 1), (0, 1), (0, 1))], False) == [{0: 3}]
     # alt, m = 2, n = 3, R = ((2,0,0),(0,2,0),(0,1,1)).  Moves:
     #   column 1, p = 0, R[1][1] = 2: ((2,0,0),(1,1,0),(0,1,1)), sorted, +2;
     #   column 2, p = 0, R[2][1] = 1: ((2,0,0),(0,2,0),(1,0,1)), which one
     #     transposition sorts into ((2,0,0),(1,0,1),(0,2,0)), so -1;
     #   column 2, p = 1, R[2][2] = 1: ((2,0,0),(0,2,0),(0,2,0)) repeats a
-    #     column, so v_N = 0 and no row.
-    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], True) == [[2], [-1]]
+    #     column, so v_N = 0 and no target.
+    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], True) == [{0: 2, 1: -1}]
     # the same basis for sym keeps the repeated-column target and no sign
     assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], False) == [
-        [2], [1], [1]]
+        {0: 2, 1: 1, 2: 1}]
+    # alt, m = 1, n = 3, R = ((1,0,0),(0,1,0),(0,0,1)): the two moves give
+    # ((1,0,0),(1,0,0),(0,0,1)) and ((1,0,0),(0,1,0),(0,1,0)), each with a
+    # repeated column, so E_p(v_R) = 0 for both p and the row is empty
+    assert oracle._raising_rows([((1, 0, 0), (0, 1, 0), (0, 0, 1))], True) == [{}]
+
+
+def dense(rows):
+    """The dense matrix of sparse rows, as wide as their highest column."""
+    ncols = max((j + 1 for row in rows for j in row), default=0)
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def sparse(rows):
+    """The sparse rows of a dense matrix: column -> nonzero entry."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
+TRANSPOSE_CASES = [(m, 3) for m in range(0, 9)] + [(m, 4) for m in range(0, 6)]
+
+
+@pytest.mark.parametrize("m,n", TRANSPOSE_CASES)
+def test_raising_rows_are_the_transpose_of_the_reference_rows(m, n):
+    # 668 weight spaces in all: the new rows, densified, are exactly the
+    # reference's stacked matrix turned on its side, targets in the same order
+    for variant in ("sym", "alt"):
+        for shape in _partitions(3 * m, n):
+            basis = oracle._isotypic_weight_basis(m, n, pad(shape, n), variant,
+                                                  max_dim=oracle.MAX_DIM)
+            want = kernel_reference.raising_rows(basis, variant == "alt")
+            got = oracle._raising_rows(basis, variant == "alt")
+            assert len(got) == len(basis)
+            assert all(a for row in got for a in row.values())
+            assert all(t < len(want) for row in got for t in row)
+            assert [[row.get(t, 0) for row in got] for t in range(len(want))] == want, (
+                shape, variant)
 
 
 def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
@@ -298,21 +336,27 @@ PRIME = 2**61 - 1
 
 def test_rank_of_integer_matrix():
     assert rank_of_integer_matrix([]) == 0
-    assert rank_of_integer_matrix([[0, 0], [0, 0]]) == 0
-    assert rank_of_integer_matrix([[1, 2], [2, 4]]) == 1
-    assert rank_of_integer_matrix([[1, 2], [3, 4]]) == 2
-    assert rank_of_integer_matrix([[0, 1], [1, 0], [1, 1]]) == 2
+    assert rank_of_integer_matrix(sparse([[0, 0], [0, 0]])) == 0
+    assert rank_of_integer_matrix(sparse([[1, 2], [2, 4]])) == 1
+    assert rank_of_integer_matrix(sparse([[1, 2], [3, 4]])) == 2
+    assert rank_of_integer_matrix(sparse([[0, 1], [1, 0], [1, 1]])) == 2
     # needs exact arithmetic: a float elimination would drift here
     big = 10 ** 30
-    assert rank_of_integer_matrix([[big, 1], [big, 1]]) == 1
+    assert rank_of_integer_matrix(sparse([[big, 1], [big, 1]])) == 1
     # a multiple of 2^61 - 1, a kernel vector with a large entry, and two
     # matrices with a nontrivial kernel
-    assert rank_of_integer_matrix([[PRIME, 0], [0, 1]]) == 2
-    assert rank_of_integer_matrix([[1, -(2**40)]]) == 1
-    assert rank_of_integer_matrix([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank_of_integer_matrix([[3, 0, 6], [0, 7, 14]]) == 2
+    assert rank_of_integer_matrix(sparse([[PRIME, 0], [0, 1]])) == 2
+    assert rank_of_integer_matrix(sparse([[1, -(2**40)]])) == 1
+    assert rank_of_integer_matrix(sparse([[1, 2], [2, 4], [3, 6]])) == 1
+    assert rank_of_integer_matrix(sparse([[3, 0, 6], [0, 7, 14]])) == 2
     # repeated rows go through the elimination and reduce to zero
-    assert rank_of_integer_matrix([[1, 2, 0], [0, 3, 5]] * 40) == 2
+    assert rank_of_integer_matrix(sparse([[1, 2, 0], [0, 3, 5]] * 40)) == 2
+    # the input rows are left as they were: here one is divided by its
+    # content, one reduced with scale 1 and one scaled before it is reduced
+    rows = sparse([[1, 2, 0], [2, 4, 6], [1, 3, 5], [0, 2, 3]])
+    before = copy.deepcopy(rows)
+    assert rank_of_integer_matrix(rows) == 3
+    assert rows == before
 
 
 entries = st.one_of(
@@ -345,7 +389,10 @@ integer_matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(integer_matrices)
 def test_rank_matches_bareiss(rows):
-    assert rank_of_integer_matrix(rows) == _rank_bareiss(rows)
+    given_rows = sparse(rows)
+    before = copy.deepcopy(given_rows)
+    assert rank_of_integer_matrix(given_rows) == _rank_bareiss(rows)
+    assert given_rows == before
 
 
 def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
@@ -364,7 +411,7 @@ def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
     monkeypatch.undo()
     assert len(built) > 50
     for rows in built:
-        assert rank(rows) == _rank_bareiss(rows)
+        assert rank(rows) == _rank_bareiss(dense(rows))
 
 
 def test_kernel_oracle_past_the_recursion_limit():
@@ -372,8 +419,8 @@ def test_kernel_oracle_past_the_recursion_limit():
     assert hwv_kernel_multiplicity(1, 1200, (3,), "sym") == 1
 
 
-def test_kernel_oracle_matches_closed_form_m4_to_m8():
-    for m in range(4, 9):
+def test_kernel_oracle_matches_closed_form_m4_to_m10():
+    for m in range(4, 11):
         for variant in ("sym", "alt"):
             for shape in _partitions(3 * m, 3):
                 assert hwv_kernel_multiplicity(m, 3, shape, variant) == (
