@@ -18,11 +18,15 @@ Two cross-checks that share no code with the word enumeration:
    weight-D subspace of the invariant (or sign) isotypic component.  The
    operators are written in orbit coordinates: a column-sorted exponent
    matrix R names v_R = Σ_σ (sgn σ)·σ·x^R, a nonzero multiple of its orbit
-   sum.  Each basis vector gives one sparse row, its images under all the
-   operators, read off in one forward pass over the basis by moving one unit
-   between adjacent rows, with no polynomial arithmetic.  These rows form
-   the transpose of the operators' matrix, which has the same rank; it is
-   found by sparse fraction-free elimination over Z, exact by construction.
+   sum.  Each column is one int, its exponents as digits in radix 3m + 1,
+   so the columns that complete two others come by subtraction, and moving
+   one unit up between adjacent rows adds a fixed step.  Each basis vector
+   gives one sparse row, its images under all the operators, read off in
+   one forward pass over the basis, with no polynomial arithmetic and no
+   sort.  These rows form the transpose of the operators' matrix, which has
+   the same rank; it is found by sparse fraction-free elimination over Z,
+   exact by construction.  Rows of the weight past the shape's length are
+   zero and carry no move, so the work is done on the shape's own rows.
 
 Both agree with the closed-form counts and with the explicit word bases; the
 point of this module is that they would not if any of those were wrong.
@@ -201,20 +205,59 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
             for shape in sorted(mults, reverse=True) if mults[shape]}
 
 
+@lru_cache(maxsize=None)
+def _column_moves(m: int, n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Every degree-m column in n rows, by code, to its raising moves.
+
+    A column (e_0, ..., e_{n-1}) is coded as Σ e_i·R^(n-1-i) with R = 3m + 1
+    (see `_exponent_matrices`).  Its moves are the pairs (step, count), one
+    per p with e_(p+1) > 0 in increasing p: E_p moves one of the count =
+    e_(p+1) units from row p + 1 up to row p, which adds step = R^(n-1-p) -
+    R^(n-2-p) to the code.  Keys come in the order of `monomial_exponents`,
+    which is decreasing code order.
+    """
+    radix = 3 * m + 1
+    steps = [radix ** (n - 1 - p) - radix ** (n - 2 - p) for p in range(n - 1)]
+    table = {}
+    for col in monomial_exponents(m, n):
+        code = 0
+        for e in col:
+            code = code * radix + e
+        table[code] = tuple((step, count) for step, count in zip(steps, col[1:]) if count)
+    return table
+
+
 def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
     """Yield each n-by-3 exponent matrix with column sums m and row sums `weight`
     whose columns decrease, col1 >= col2 >= col3: one per orbit of the column
     permutations.
 
-    A matrix is a triple of column vectors.
+    A matrix is a triple of column codes.  A column (e_0, ..., e_{n-1}) has
+    the code Σ e_i·R^(n-1-i) in radix R = 3m + 1, and code order is lex
+    order.  A weight with a negative entry or a sum other than 3m has no
+    orbit and yields nothing.  Every other weight has its entries in 0..3m,
+    so it codes the same way, and w - a - b for columns a, b <= w has
+    digits w_i - a_i - b_i in -2m..3m.  Two digit vectors that differ by
+    less than R in every place compare like their codes, and are equal only
+    if their codes are.  So w - a - b is the code of a column exactly when
+    the tuple difference is that column, and its comparison with b is the
+    lex one.  Without the guard, an entry past 3m would carry into the next
+    digit and alias another weight.
     """
+    if sum(weight) != 3 * m or any(e < 0 for e in weight):
+        return
+    radix = 3 * m + 1
+    rest = 0
+    for e in weight:
+        rest = rest * radix + e
     # decreasing, so fits[i:] are <= fits[i]
-    fits = [col for col in monomial_exponents(m, n) if all(map(le, col, weight))]
+    fits = [code for col, code in zip(monomial_exponents(m, n), _column_moves(m, n))
+            if all(map(le, col, weight))]
     fit_set = set(fits)
     for i, col1 in enumerate(fits):
-        rest1 = tuple(map(sub, weight, col1))
+        rest1 = rest - col1
         for col2 in fits[i:]:
-            col3 = tuple(map(sub, rest1, col2))
+            col3 = rest1 - col2
             # col3 grows as col2 shrinks, so no later col2 is >= its col3
             if col3 > col2:
                 break
@@ -223,9 +266,9 @@ def _exponent_matrices(m: int, n: int, weight: tuple[int, ...]):
 
 
 def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
-                           variant: str, *, max_dim: int) -> list[tuple]:
+                           variant: str, *, max_dim: int) -> list[tuple[int, int, int]]:
     """Orbit representatives naming a basis of the invariant or sign part of
-    one weight space.
+    one weight space, as triples of column codes (`_exponent_matrices`).
 
     Column permutations σ act on exponent matrices.  A sorted matrix R names
     v_R = Σ_σ (sgn σ)·σ·x^R (sgn σ = 1 for sym), which is |Stab R| times the
@@ -233,9 +276,10 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     a repeated column puts a transposition in the stabilizer, so v_R = 0.
     InstanceTooLargeError is raised once more than max_dim orbits are found.
     """
-    reps: list[tuple] = []
+    alt = variant == "alt"
+    reps: list[tuple[int, int, int]] = []
     for rep in _exponent_matrices(m, n, weight):
-        if variant == "sym" or len(set(rep)) == 3:
+        if not alt or rep[0] > rep[1] > rep[2]:
             reps.append(rep)
             if len(reps) > max_dim:
                 raise InstanceTooLargeError(
@@ -244,14 +288,19 @@ def _isotypic_weight_basis(m: int, n: int, weight: tuple[int, ...],
     return reps
 
 
-def _raising_rows(basis: list[tuple], alt: bool) -> list[dict[int, int]]:
+def _raising_rows(m: int, n: int, basis: list[tuple[int, int, int]],
+                  alt: bool) -> list[dict[int, int]]:
     """The images under every E_p, which moves a unit from row p + 1 to row p
-    (0-based), of the v_R named by `basis`: one sparse row per basis vector.
+    (0-based), of the v_R named by `basis`, a list of decreasing triples of
+    column codes of degree m in n rows: one sparse row per basis vector.
 
     E_p commutes with column permutations, so E_p(v_R) = Σ_j R[j][p+1]·v_N,
-    where N moves one unit of column j of R up from row p + 1.  With T the
-    sorted N, v_N = v_T for sym; for alt v_N = ±v_T by the sign of the sort,
-    or 0 if N repeats a column.  Targets of different p differ in weight, so
+    where N moves one unit of column j of R up from row p + 1.  That adds a
+    positive step to the code of column j (`_column_moves`), so the moved
+    column only passes the columns before it: it is placed by comparing it
+    with them, and T, the sorted N, needs no sort.  v_N = v_T for sym; for
+    alt v_N = ±v_T by the parity of the columns passed, or 0 if the moved
+    column equals one of them.  Targets of different p differ in weight, so
     one index numbers them all, in order of first appearance.  A row maps
     target index to coefficient, and no entry is zero: two moves of one p
     reach the same T only from equal columns, which add with one sign (alt
@@ -260,28 +309,46 @@ def _raising_rows(basis: list[tuple], alt: bool) -> list[dict[int, int]]:
     differs by the nonzero stabilizer orders on both sides, so rank and
     kernel agree.
     """
-    targets: dict[tuple, int] = {}
+    moves = _column_moves(m, n)
+    targets: dict[tuple[int, int, int], int] = {}
     rows: list[dict[int, int]] = []
-    for rep in basis:
+    for a, b, c in basis:
         row: dict[int, int] = {}
-        for j, col in enumerate(rep):
-            for p in range(len(col) - 1):
-                count = col[p + 1]
-                if not count:
-                    continue
-                moved = list(rep)
-                moved[j] = col[:p] + (col[p] + 1, count - 1) + col[p + 2:]
+        for step, count in moves[a]:
+            target = (a + step, b, c)
+            t = targets.setdefault(target, len(targets))
+            row[t] = row.get(t, 0) + count
+        for step, count in moves[b]:
+            x = b + step
+            if x < a:
+                target = (a, x, c)
+            else:
                 if alt:
-                    a, b, c = moved
-                    if a == b or a == c or b == c:
+                    if x == a:
                         continue
-                    # for distinct columns, the sign of the sort is (-1)^inversions
-                    count *= (-1) ** ((a < b) + (a < c) + (b < c))
-                target = tuple(sorted(moved, reverse=True))
-                t = targets.get(target)
-                if t is None:
-                    t = targets[target] = len(targets)
-                row[t] = row.get(t, 0) + count
+                    count = -count
+                target = (x, a, c)
+            t = targets.setdefault(target, len(targets))
+            row[t] = row.get(t, 0) + count
+        for step, count in moves[c]:
+            x = c + step
+            if x < b:
+                target = (a, b, x)
+            else:
+                if alt:
+                    if x == b:
+                        continue
+                    count = -count
+                if x < a:
+                    target = (a, x, b)
+                else:
+                    if alt:
+                        if x == a:
+                            continue
+                        count = -count
+                    target = (x, a, b)
+            t = targets.setdefault(target, len(targets))
+            row[t] = row.get(t, 0) + count
         rows.append(row)
     return rows
 
@@ -336,9 +403,10 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
     Names the weight-`shape` slice of the isotypic component by its orbit
     representatives, writes down every adjacent raising operator on it in
     orbit coordinates (no polynomial is built), and returns the dimension of
-    the joint kernel.  Any number of rows n works.  Raises ValueError unless
-    `variant` is 'sym' or 'alt', and InstanceTooLargeError when the slice
-    dimension exceeds max_dim, before any matrix entry is computed.
+    the joint kernel.  Any number of rows n works: the work is done on the
+    shape's own rows, whatever n is.  Raises ValueError unless `variant` is
+    'sym' or 'alt', and InstanceTooLargeError when the slice dimension
+    exceeds max_dim, before any matrix entry is computed.
     """
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
@@ -347,9 +415,12 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
         return 0
     if sum(shape) != 3 * m:
         return 0
-    weight = pad(shape, n)
-    basis = _isotypic_weight_basis(m, n, weight, variant, max_dim=max_dim)
-    return len(basis) - rank_of_integer_matrix(_raising_rows(basis, variant == "alt"))
+    # rows past the shape's are zero in every column and have no move, so
+    # the shape's own rows give the same basis and rows as pad(shape, n)
+    length = len(shape)
+    basis = _isotypic_weight_basis(m, length, shape, variant, max_dim=max_dim)
+    return len(basis) - rank_of_integer_matrix(
+        _raising_rows(m, length, basis, variant == "alt"))
 
 
 def weyl_dimension(shape, n: int) -> int:

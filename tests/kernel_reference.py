@@ -10,9 +10,12 @@ the differential test in `test_oracle.py`.  It shares the size bound, the
 error class and the exact rank with the package.  Like the polynomial layer
 it builds on, it holds matrices of at most 4 rows.
 
-`raising_rows` is the former body of `plethysm.oracle._raising_rows`: the same
+`raising_rows` is an earlier body of `plethysm.oracle._raising_rows`: the same
 operators in orbit coordinates, as dense rows, one per target.  The package
 now returns the transpose, one sparse row per basis vector.
+`sparse_raising_rows` is the body that followed, on column tuples: each move
+copies the matrix, rebuilds one column and sorts the three.  The package now
+works on column codes, which `encode` and `decode` translate.
 """
 
 from __future__ import annotations
@@ -138,3 +141,49 @@ def raising_rows(basis: list[tuple], alt: bool) -> list[list[int]]:
                     row = rows[target] = [0] * len(basis)
                 row[i] += count
     return list(rows.values())
+
+
+def encode(m: int, col: tuple[int, ...]) -> int:
+    """The code of a column of degree m: its entries as digits in radix 3m + 1."""
+    code = 0
+    for e in col:
+        code = code * (3 * m + 1) + e
+    return code
+
+
+def decode(m: int, n: int, code: int) -> tuple[int, ...]:
+    """The column of n rows whose code in radix 3m + 1 is `code`."""
+    digits = []
+    for _ in range(n):
+        code, e = divmod(code, 3 * m + 1)
+        digits.append(e)
+    return tuple(reversed(digits))
+
+
+def sparse_raising_rows(basis: list[tuple], alt: bool) -> list[dict[int, int]]:
+    """One sparse row per basis vector of column tuples, its images under every
+    E_p, targets in order of first appearance."""
+    targets: dict[tuple, int] = {}
+    rows: list[dict[int, int]] = []
+    for rep in basis:
+        row: dict[int, int] = {}
+        for j, col in enumerate(rep):
+            for p in range(len(col) - 1):
+                count = col[p + 1]
+                if not count:
+                    continue
+                moved = list(rep)
+                moved[j] = col[:p] + (col[p] + 1, count - 1) + col[p + 2:]
+                if alt:
+                    a, b, c = moved
+                    if a == b or a == c or b == c:
+                        continue
+                    # for distinct columns, the sign of the sort is (-1)^inversions
+                    count *= (-1) ** ((a < b) + (a < c) + (b < c))
+                target = tuple(sorted(moved, reverse=True))
+                t = targets.get(target)
+                if t is None:
+                    t = targets[target] = len(targets)
+                row[t] = row.get(t, 0) + count
+        rows.append(row)
+    return rows

@@ -255,32 +255,40 @@ def test_kernel_size_guard_fires_before_any_row_is_built(monkeypatch):
             oracle._isotypic_weight_basis(3, 3, (4, 4, 1), variant, max_dim=dim - 1)
 
 
+def hand_rows(m, basis, alt):
+    """`_raising_rows` on a basis given as column tuples."""
+    n = len(basis[0][0])
+    codes = [tuple(kernel_reference.encode(m, col) for col in rep) for rep in basis]
+    return oracle._raising_rows(m, n, codes, alt)
+
+
 def test_raising_rows_on_hand_worked_bases():
     # Column vectors are (row 0, row 1, ...); v_R = Σ_σ (sgn σ)·σ·x^R.
     # One row per basis vector, its image E_p(v_R) over every p: target
-    # index (in order of first appearance) -> coefficient.
+    # index (in order of first appearance) -> coefficient.  The package
+    # takes each column by its code, which `hand_rows` computes.
     # sym, m = 1, n = 2, weight (2, 1): R = ((1,0),(1,0),(0,1)).  Only column
     # 2 can move up, R[2][1] = 1, onto T = ((1,0),(1,0),(1,0)), so E_0 v_R =
     # 1·v_T.  On plain orbit sums the entry was 3: the three monomials of R's
     # orbit each map onto x^T, whose orbit sum is x^T alone.
-    assert oracle._raising_rows([((1, 0), (1, 0), (0, 1))], False) == [{0: 1}]
+    assert hand_rows(1, [((1, 0), (1, 0), (0, 1))], False) == [{0: 1}]
     # sym, weight (0, 3): all three columns of R = ((0,1),(0,1),(0,1)) move
     # onto T = ((1,0),(0,1),(0,1)), so E_0 v_R = 3·v_T (orbit sums gave 1).
-    assert oracle._raising_rows([((0, 1), (0, 1), (0, 1))], False) == [{0: 3}]
+    assert hand_rows(1, [((0, 1), (0, 1), (0, 1))], False) == [{0: 3}]
     # alt, m = 2, n = 3, R = ((2,0,0),(0,2,0),(0,1,1)).  Moves:
     #   column 1, p = 0, R[1][1] = 2: ((2,0,0),(1,1,0),(0,1,1)), sorted, +2;
     #   column 2, p = 0, R[2][1] = 1: ((2,0,0),(0,2,0),(1,0,1)), which one
     #     transposition sorts into ((2,0,0),(1,0,1),(0,2,0)), so -1;
     #   column 2, p = 1, R[2][2] = 1: ((2,0,0),(0,2,0),(0,2,0)) repeats a
     #     column, so v_N = 0 and no target.
-    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], True) == [{0: 2, 1: -1}]
+    assert hand_rows(2, [((2, 0, 0), (0, 2, 0), (0, 1, 1))], True) == [{0: 2, 1: -1}]
     # the same basis for sym keeps the repeated-column target and no sign
-    assert oracle._raising_rows([((2, 0, 0), (0, 2, 0), (0, 1, 1))], False) == [
+    assert hand_rows(2, [((2, 0, 0), (0, 2, 0), (0, 1, 1))], False) == [
         {0: 2, 1: 1, 2: 1}]
     # alt, m = 1, n = 3, R = ((1,0,0),(0,1,0),(0,0,1)): the two moves give
     # ((1,0,0),(1,0,0),(0,0,1)) and ((1,0,0),(0,1,0),(0,1,0)), each with a
     # repeated column, so E_p(v_R) = 0 for both p and the row is empty
-    assert oracle._raising_rows([((1, 0, 0), (0, 1, 0), (0, 0, 1))], True) == [{}]
+    assert hand_rows(1, [((1, 0, 0), (0, 1, 0), (0, 0, 1))], True) == [{}]
 
 
 def dense(rows):
@@ -297,25 +305,44 @@ def sparse(rows):
 TRANSPOSE_CASES = [(m, 3) for m in range(0, 9)] + [(m, 4) for m in range(0, 6)]
 
 
-@pytest.mark.parametrize("m,n", TRANSPOSE_CASES)
-def test_raising_rows_are_the_transpose_of_the_reference_rows(m, n):
-    # 668 weight spaces in all: the new rows, densified, are exactly the
-    # reference's stacked matrix turned on its side, targets in the same order
+def decoded_bases(m, n):
+    """Each weight space of (m, n) with its variant, shape, basis of column
+    codes, and the same basis as column tuples."""
     for variant in ("sym", "alt"):
         for shape in _partitions(3 * m, n):
             basis = oracle._isotypic_weight_basis(m, n, pad(shape, n), variant,
                                                   max_dim=oracle.MAX_DIM)
-            want = kernel_reference.raising_rows(basis, variant == "alt")
-            got = oracle._raising_rows(basis, variant == "alt")
-            assert len(got) == len(basis)
-            assert all(a for row in got for a in row.values())
-            assert all(t < len(want) for row in got for t in row)
-            assert [[row.get(t, 0) for row in got] for t in range(len(want))] == want, (
-                shape, variant)
+            cols = [tuple(kernel_reference.decode(m, n, code) for code in rep)
+                    for rep in basis]
+            yield variant, shape, basis, cols
+
+
+@pytest.mark.parametrize("m,n", TRANSPOSE_CASES)
+def test_raising_rows_match_the_tuple_rows(m, n):
+    # the same 668 spaces: codes give the rows that sorting column tuples
+    # gave, dict for dict, with the targets numbered alike
+    for variant, shape, basis, cols in decoded_bases(m, n):
+        assert oracle._raising_rows(m, n, basis, variant == "alt") == (
+            kernel_reference.sparse_raising_rows(cols, variant == "alt")), (shape, variant)
+
+
+@pytest.mark.parametrize("m,n", TRANSPOSE_CASES)
+def test_raising_rows_are_the_transpose_of_the_reference_rows(m, n):
+    # 668 weight spaces in all: the new rows, densified, are exactly the
+    # reference's stacked matrix turned on its side, targets in the same order
+    for variant, shape, basis, cols in decoded_bases(m, n):
+        want = kernel_reference.raising_rows(cols, variant == "alt")
+        got = oracle._raising_rows(m, n, basis, variant == "alt")
+        assert len(got) == len(basis)
+        assert all(a for row in got for a in row.values())
+        assert all(t < len(want) for row in got for t in row)
+        assert [[row.get(t, 0) for row in got] for t in range(len(want))] == want, (
+            shape, variant)
 
 
 def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
-    # against every ordered column triple, sorted and deduplicated
+    # against every ordered column triple, sorted and deduplicated; the
+    # package yields column codes, decoded here
     yields = 0
     for m, n in [(m, 3) for m in range(0, 7)] + [(m, 4) for m in range(0, 4)]:
         orbits = {}
@@ -324,11 +351,42 @@ def test_exponent_matrices_yield_one_sorted_matrix_per_orbit():
             orbits.setdefault(weight, set()).add(tuple(sorted(cols, reverse=True)))
         for shape in _partitions(3 * m, n):
             weight = tuple(shape) + (0,) * (n - len(shape))
-            got = list(oracle._exponent_matrices(m, n, weight))
+            got = [tuple(kernel_reference.decode(m, n, code) for code in rep)
+                   for rep in oracle._exponent_matrices(m, n, weight)]
             assert len(got) == len(orbits[weight]) and set(got) == orbits[weight]
             if (m, n) == (6, 3):
                 yields += len(got)
     assert yields == 851
+
+
+EXACTNESS_CASES = [(m, n) for m in range(0, 4) for n in range(0, 4)] + [
+    (m, 4) for m in range(0, 3)]
+
+
+@pytest.mark.parametrize("m,n", EXACTNESS_CASES)
+def test_exponent_matrices_match_the_tuple_enumeration_on_every_weight(m, n):
+    # every weight with entries in 0..3m+3: non-dominant ones, sums other
+    # than 3m, and entries past 3m, where a code subtraction would carry
+    for weight in itertools.product(range(3 * m + 4), repeat=n):
+        got = [tuple(kernel_reference.decode(m, n, code) for code in rep)
+               for rep in oracle._exponent_matrices(m, n, weight)]
+        assert got == list(kernel_reference._exponent_matrices(m, n, weight)), weight
+
+
+def test_kernel_oracle_works_on_the_shape_rows():
+    # padding rows change neither the basis nor the rows: the oracle at n
+    # equals the basis and rows built at n rows, for n = 3, 4, 5
+    for m in range(0, 7):
+        for variant in ("sym", "alt"):
+            for n in (3, 4, 5):
+                for shape in _partitions(3 * m, n):
+                    basis = oracle._isotypic_weight_basis(m, n, pad(shape, n), variant,
+                                                          max_dim=oracle.MAX_DIM)
+                    rows = oracle._raising_rows(m, n, basis, variant == "alt")
+                    assert hwv_kernel_multiplicity(m, n, shape, variant) == (
+                        len(basis) - rank_of_integer_matrix(rows)), (m, n, shape)
+    # the codes stay three digits long however many rows the space has
+    assert hwv_kernel_multiplicity(3, 200, (3, 3, 3), "alt") == 1
 
 
 PRIME = 2**61 - 1
