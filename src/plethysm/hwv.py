@@ -28,12 +28,14 @@ distinct leading monomials, which is how linear independence is proved.
 
 For k = 2 the words are alpha^i * gamma^j with alpha = x[1][1]*x[1][2] and
 gamma = delta[1][2], j even for the invariants and odd for the sign part.
-For both k, a word's grade, weight, expansion and printed form are computed
-from one factor table, ``_FACTORS``, which lists each generator's label,
-grade and weight; ``decompose(k, m, variant)`` is the entry point for both.
-``verify`` checks the k = 3 rows of that table against the generator
-polynomials, and multiplies its own table of generator leading monomials
-along the same rows to get each word's leading monomial.
+``decompose(k, m, variant)``, the entry point for both k, lists the words
+diagram by diagram; for k = 3 it solves each diagram's weight equations for
+its words.  A word's grade, weight, expansion and printed form are read off
+one factor table, ``_FACTORS``, of each generator's label, grade and weight.
+``verify`` checks the k = 3 rows of that table against the generators,
+requires each word's weight to be the diagram it is listed under, and
+multiplies its own table of generator leading monomials along the same rows
+to get each word's leading monomial.
 
 A note on indexing: beta2 here carries the factor x[1][2] (the cofactor
 convention that makes beta2 + beta3 + the missing term sum against the
@@ -55,12 +57,11 @@ from .polynomials import Polynomial, _check_degree, variable
 from .tableaux import Diagram, column_minor, normalize_partition, pad
 
 # The word families of k = 3: (variant, f) -> the parities (p - 2d, q - 2e)
-# of the gamma exponents of a GeneratorWord.  Equal parities give the
-# S_3-invariants (the "sym" component), unequal ones the sign part ("alt").
+# of the gamma exponents of a GeneratorWord, and inverted, parities -> family.
+# Equal parities give the S_3-invariants ("sym"), unequal ones the sign part.
 _FAMILIES = {("sym", 0): (0, 0), ("sym", 1): (1, 1),
              ("alt_gamma1", 0): (1, 0), ("alt_gamma2", 0): (0, 1)}
-# The family of each x = (p - 2d) + 2(q - 2e), as enumerate_basis meets it.
-_FAMILY_OF_X = {p + 2 * q: family for family, (p, q) in _FAMILIES.items()}
+_FAMILY_OF_PARITIES = {parities: family for family, parities in _FAMILIES.items()}
 
 
 class BadShapeError(ValueError):
@@ -314,38 +315,35 @@ def _check_component(m: int, variant: str) -> None:
 
 
 def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
-    """All words of grade m for the requested component.
+    """All words of grade m of S^3(S^m) ("sym") or Λ^3(S^m) ("alt", m >= 1),
+    in field order; each (a, b, c, d) has one word, so the sort stops at d."""
+    return sorted(decompose(3, m, variant).words())
 
-    variant "sym" covers S^3(S^m); "alt" merges the two sign families that
-    cover Λ^3(S^m) (m >= 1 there; Λ^3 of a line is zero so grade 0 is empty
-    anyway, but callers should not ask).
 
-    The grade is a + 2b + 3c + 2d + 4e + x with x = (p - 2d) + 2(q - 2e) in
-    0..3, and each x belongs to one family, so each (a, b, c, d) gives one
-    word; looping over them in field order lists the words in sorted order.
-    These loops give only valid fields, so the words are built unchecked.
-    """
-    _check_component(m, variant)
-    new = tuple.__new__
-    words = []
-    for a in range(m + 1):
-        for b in range((m - a) // 2 + 1):
-            for c in range(min(1, (m - a - 2 * b) // 3) + 1):
-                rest = m - a - 2 * b - 3 * c
-                for d in range(rest // 2 + 1):
-                    e, x = divmod(rest - 2 * d, 4)
-                    family, f = _FAMILY_OF_X[x]
-                    if (family == "sym") == (variant == "sym"):
-                        words.append(new(GeneratorWord, (a, b, c, d, e, f, family)))
-    return words
+def _diagram_words(diagram: Diagram, variant: str) -> tuple[GeneratorWord, ...]:
+    """The words of the variant whose weight is the diagram (l1, l2, l3), in
+    field order, unchecked.  With s = 2b + 3c (s != 1 fixes b and c, as c <= 1)
+    the table gives l3 = p, l1 - l2 = 3a + s, l2 - l3 = s + 3q; l3 and the
+    variant fix q mod 2, hence s mod 6.  A descending s is an ascending a."""
+    l1, l2, p = pad(diagram, 3)
+    u, v = l1 - l2, l2 - p
+    if (u - v) % 3:
+        return ()
+    q_parity = (p + (variant != "sym")) % 2
+    family, f = _FAMILY_OF_PARITIES[p % 2, q_parity]
+    top = min(u, v)
+    return tuple([tuple.__new__(GeneratorWord, ((u - s) // 3, (s - 3 * (s % 2)) // 2,
+                                                s % 2, p // 2, (v - s) // 6, f, family))
+                  for s in range(top - (top - v + 3 * q_parity) % 6, -1, -6) if s != 1])
 
 
 def words_for_weight(m: int, shape, variant: str) -> list[GeneratorWord]:
-    """The words of grade m whose weight is the given diagram."""
+    """The words of grade m whose weight is the diagram; none unless |shape| = 3m."""
     shape = normalize_partition(shape)
     if len(shape) > 3:
         raise BadShapeError(f"{shape} has more than three rows")
-    return list(decompose(3, m, variant).words_of(shape))
+    _check_component(m, variant)
+    return list(_diagram_words(shape, variant)) if sum(shape) == 3 * m else []
 
 
 def multiplicity_closed_form(shape, variant: str) -> int:
@@ -572,26 +570,32 @@ def _diagram_str(diagram: Diagram) -> str:
     return "(" + ",".join(map(str, diagram)) + ")"
 
 
+def _shapes(m: int) -> list[Diagram]:
+    """The diagrams of 3m with at most three rows, in decreasing lex order;
+    l1 >= l2 >= l3 >= 0 puts l2 between (3m - l1) / 2 and min(l1, 3m - l1)."""
+    total = 3 * m
+    return [tuple(part for part in (l1, l2, total - l1 - l2) if part)
+            for l1 in range(total, m - 1, -1)
+            for l2 in range(min(l1, total - l1), (total - l1 + 1) // 2 - 1, -1)]
+
+
 @lru_cache(maxsize=None, typed=True)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
 
-    For k = 2 the words are alpha^(m-j)*gamma^j with j even (sym) or odd (alt).
-    The words come in order, so each constituent keeps them in that order;
-    constituents are in decreasing lexicographic order of their diagrams.
-    Reports are immutable, so each (k, m, variant), with int k and m, is built
-    once and shared.
+    Diagrams in decreasing lex order, words in field order: for k = 3 the
+    diagrams of 3m that ``_diagram_words`` finds words for; for k = 2
+    each alpha^(m-j)*gamma^j, j even (sym) or odd (alt), alone in (2m - j, j).
+    Reports are immutable: each (k, m, variant), int k and m, is built once.
     """
     if type(k) is not int or k not in (2, 3):
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
     _check_component(m, variant)
-    # as in enumerate_basis, the k = 2 loop gives only valid fields: no checks
-    words = (enumerate_basis(m, variant) if k == 3 else
-             [tuple.__new__(WordK2, (m - j, j)) for j in range(variant == "alt", m + 1, 2)])
-    by_weight: dict[tuple[int, ...], list] = {}
-    for w in words:
-        by_weight.setdefault(w.weight(), []).append(w)
-    # a weight is its diagram padded with zeros, so the two sort alike
-    entries = tuple(DecompositionEntry(normalize_partition(weight), tuple(by_weight[weight]))
-                    for weight in sorted(by_weight, reverse=True))
+    if k == 3:
+        entries = tuple(DecompositionEntry(diagram, words) for diagram in _shapes(m)
+                        if (words := _diagram_words(diagram, variant)))
+    else:  # the j loop gives only valid fields: no checks
+        entries = tuple(DecompositionEntry(tuple(part for part in (2 * m - j, j) if part),
+                                           (tuple.__new__(WordK2, (m - j, j)),))
+                        for j in range(variant == "alt", m + 1, 2))
     return DecompositionReport(k=k, m=m, variant=variant, entries=entries)

@@ -130,30 +130,35 @@ def check_leading_monomial_table() -> CheckResult:
 def check_word_leading_monomials(max_grade: int) -> CheckResult:
     """LM(f*g) = LM(f)*LM(g), so a word's leading monomial and coefficient
     are the products of its generators' table entries, each raised to the
-    word's exponent; the words are expanded and compared with that."""
+    word's exponent; the words are expanded and compared with that.  Each
+    word's weight, read off the factor table, must be its entry's diagram."""
     seen: dict[Monomial, str] = {}
     count = 0
     problems = []
     for m, variant in _components(0, max_grade):
-        for word in hwv.decompose(3, m, variant).words():
-            count += 1
-            poly = word.expand()
-            if poly.is_zero:
-                problems.append(f"{word} expands to zero")
-                continue
-            mono, coeff = poly.leading_monomial()
-            wanted, wanted_coeff = Monomial(), 1
-            for (_, name, _, _), exp in zip(hwv._FACTORS[3], word.exponents()):
-                lm, c = _LEADING_MONOMIALS[name]
-                wanted, wanted_coeff = wanted * lm ** exp, wanted_coeff * c ** exp
-            if mono != wanted:
-                problems.append(f"{word}: leading monomial {mono}")
-            if coeff != wanted_coeff:
-                problems.append(f"{word}: leading coefficient {coeff}")
-            prior = seen.get(mono)
-            if prior is not None:
-                problems.append(f"collision {prior} vs {word} ({variant})")
-            seen[mono] = f"{word} ({variant})"
+        for entry in hwv.decompose(3, m, variant).entries:
+            weight = tableaux.pad(entry.diagram, 3)
+            for word in entry.words:
+                count += 1
+                if word.weight() != weight:
+                    problems.append(f"{word}: weight {word.weight()} under {entry.diagram}")
+                poly = word.expand()
+                if poly.is_zero:
+                    problems.append(f"{word} expands to zero")
+                    continue
+                mono, coeff = poly.leading_monomial()
+                wanted, wanted_coeff = Monomial(), 1
+                for (_, name, _, _), exp in zip(hwv._FACTORS[3], word.exponents()):
+                    lm, c = _LEADING_MONOMIALS[name]
+                    wanted, wanted_coeff = wanted * lm ** exp, wanted_coeff * c ** exp
+                if mono != wanted:
+                    problems.append(f"{word}: leading monomial {mono}")
+                if coeff != wanted_coeff:
+                    problems.append(f"{word}: leading coefficient {coeff}")
+                prior = seen.get(mono)
+                if prior is not None:
+                    problems.append(f"collision {prior} vs {word} ({variant})")
+                seen[mono] = f"{word} ({variant})"
     return CheckResult(
         "word-leading-monomials",
         not problems,
@@ -242,7 +247,7 @@ def check_against_kernel_oracle(m_max: int, n: int) -> CheckResult:
     cases = 0
     for m, variant in _components(0, m_max):
         counts = hwv.decompose(3, m, variant).multiplicities()
-        for shape in _shapes(m):
+        for shape in hwv._shapes(m):
             cases += 1
             kernel = oracle.hwv_kernel_multiplicity(m, n, shape, variant)
             if kernel != counts.get(shape, 0):
@@ -259,14 +264,14 @@ def check_against_kernel_oracle(m_max: int, n: int) -> CheckResult:
 
 
 def check_closed_form(m_max: int) -> CheckResult:
+    """The floor formula against each diagram's solved word count, no report."""
     problems = []
     cases = 0
     for m, variant in _components(0, m_max):
-        counts = hwv.decompose(3, m, variant).multiplicities()
-        for shape in _shapes(m):
+        for shape in hwv._shapes(m):
             cases += 1
             formula = hwv.multiplicity_closed_form(shape, variant)
-            if formula != counts.get(shape, 0):
+            if formula != len(hwv._diagram_words(shape, variant)):
                 problems.append(f"m={m} {variant} {shape}")
     return CheckResult(
         "multiplicity-closed-form",
@@ -282,7 +287,7 @@ def check_kostka_closed_form(m_max: int) -> CheckResult:
     for m in range(1, m_max + 1):
         # one forward pass gives K(D, (m,m,m)) for every shape D of 3m
         table = tableaux.kostka_within((3 * m,) * 3, (m, m, m))
-        for shape in _shapes(m):
+        for shape in hwv._shapes(m):
             cases += 1
             l1, l2, l3 = tableaux.pad(shape, 3)
             if table.get(shape, 0) != min(l1 - l2, l2 - l3) + 1:
@@ -301,7 +306,7 @@ def check_standard_monomials(m_max: int) -> CheckResult:
     cases = 0
     for m in range(0, m_max + 1):
         seen: set[Monomial] = set()
-        for shape in _shapes(m):
+        for shape in hwv._shapes(m):
             for T in tableaux.enumerate_sst(shape, (m, m, m)):
                 cases += 1
                 poly = tableaux.delta_tableau(T, n)
@@ -414,15 +419,6 @@ def check_dimension_conservation(m_max: int) -> CheckResult:
         f"constituent dimensions sum to dim S^3/Λ^3 in {cases} components "
         f"(m <= {m_max}, n = 3, 4)" if not problems else "; ".join(problems[:3]),
     )
-
-
-def _shapes(m: int) -> list[tableaux.Diagram]:
-    """The diagrams of 3m with at most three rows, in decreasing lex order;
-    l1 >= l2 >= l3 >= 0 puts l2 between (3m - l1) / 2 and min(l1, 3m - l1)."""
-    total = 3 * m
-    return [tuple(part for part in (l1, l2, total - l1 - l2) if part)
-            for l1 in range(total, m - 1, -1)
-            for l2 in range(min(l1, total - l1), (total - l1 + 1) // 2 - 1, -1)]
 
 
 # ---------------------------------------------------------------------------

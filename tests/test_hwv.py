@@ -260,8 +260,21 @@ def test_words_for_weight():
     words = words_for_weight(6, (12, 6), "sym")
     assert sorted(str(w) for w in words) == ["a1^2*g2^2", "a2^3"]
     assert words_for_weight(3, (8, 1), "sym") == []
+    # a diagram of another size has words, but of another grade
+    assert words_for_weight(5, (9, 3), "sym") == []
+    assert words_for_weight(5, (12, 6), "sym") == []
     with pytest.raises(BadShapeError):
         words_for_weight(3, (3, 3, 2, 1), "sym")
+    with pytest.raises(ValueError):
+        words_for_weight(0, (), "alt")
+
+
+def test_words_for_weight_is_the_report_entry_to_m_30():
+    for m in range(31):
+        for variant in ("sym", "alt") if m else ("sym",):
+            report = decompose(3, m, variant)
+            for shape in hwv._shapes(m):
+                assert words_for_weight(m, shape, variant) == list(report.words_of(shape))
 
 
 def test_multiplicity_closed_form_values():
@@ -316,23 +329,23 @@ def test_decompose_m6_sym_has_one_double():
 
 
 def test_run_verification_builds_each_decomposition_once(monkeypatch):
-    # every k = 3 decomposition goes through enumerate_basis, and every check
-    # reads the cached report, so each (m, variant) is enumerated exactly once
+    # a k = 3 report solves each diagram once and every check reads the cached
+    # report, except the closed form, which solves each diagram once more
     calls = Counter()
-    enumerate_words = hwv.enumerate_basis
+    solve = hwv._diagram_words
 
-    def counting(m, variant):
-        calls[m, variant] += 1
-        return enumerate_words(m, variant)
+    def counting(diagram, variant):
+        calls[diagram, variant] += 1
+        return solve(diagram, variant)
 
-    monkeypatch.setattr(hwv, "enumerate_basis", counting)
+    monkeypatch.setattr(hwv, "_diagram_words", counting)
     hwv.decompose.cache_clear()
     try:
         results = verify.run_verification(m_max=6)
     finally:
         hwv.decompose.cache_clear()
     assert all(r.passed for r in results)
-    assert calls[6, "alt"] and set(calls.values()) == {1}
+    assert calls[(18,), "alt"] == 2 and max(calls.values()) == 2
 
 
 def test_decompose_rejects_unknown_k():
@@ -506,6 +519,24 @@ def test_decompose_groups_words_like_the_reference_to_m_40(variant):
         assert ([[list(w.to_json_obj().items()) for w in e.words] for e in report.entries]
                 == [[list(w.to_json_obj().items()) for w in words]
                     for _, words in expected]), m
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("variant", ["sym", "alt"])
+def test_decompose_matches_the_field_order_listing_to_m_80(k, variant):
+    """Every report's diagrams, words and word order, and enumerate_basis,
+    against the loop that listed every word in field order and grouped the
+    words by their table weights."""
+    try:
+        for m in range(0 if variant == "sym" else 1, 81):
+            entries = decompose(k, m, variant).entries
+            assert entries == tuple(word_reference.field_order_entries(k, m, variant)), m
+            if k == 3:
+                assert (enumerate_basis(m, variant)
+                        == word_reference.field_order_basis(m, variant)), m
+            hwv.decompose.cache_clear()  # each report is dropped once compared
+    finally:
+        hwv.decompose.cache_clear()
 
 
 def test_words_for_weight_matches_the_reference():

@@ -12,7 +12,31 @@ from plethysm import hwv, oracle, tableaux, verify
 
 def test_shapes_match_the_recursive_lister_to_m_120():
     for m in range(121):
-        assert verify._shapes(m) == _partitions(3 * m, 3), m
+        assert hwv._shapes(m) == _partitions(3 * m, 3), m
+
+
+def test_a_word_listed_under_the_wrong_diagram_fails_its_check(monkeypatch):
+    """The listing reads no word's weight, so the word check ties each word's
+    table weight to the diagram it is listed under."""
+    solve = hwv._diagram_words
+
+    def misfiled(diagram, variant):
+        # the word a1^2*a2 of (10, 2) moves under (12,), after a1^4
+        if variant == "sym" and diagram == (12,):
+            return solve((12,), variant) + solve((10, 2), variant)
+        if variant == "sym" and diagram == (10, 2):
+            return ()
+        return solve(diagram, variant)
+
+    assert verify.check_word_leading_monomials(4).passed
+    monkeypatch.setattr(hwv, "_diagram_words", misfiled)
+    hwv.decompose.cache_clear()
+    try:
+        result = verify.check_word_leading_monomials(4)
+    finally:
+        hwv.decompose.cache_clear()
+    assert result.passed is False
+    assert result.detail == "a1^2*a2: weight (10, 2, 0) under (12,)"
 
 
 def _closed_form(original):

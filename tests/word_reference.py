@@ -7,6 +7,11 @@ weight, diagram, expansion, sort key and printed form; `enumerate_basis`,
 These are the former bodies from `plethysm.hwv`, kept only as the reference
 for the differential test in `test_hwv.py`.  They share the generators with
 the package, and nothing else of the word layer.
+
+`field_order_basis` and `field_order_entries` are the listing that solving
+each diagram for its words replaced: every word of the grade in field order,
+weighed through the factor table, grouped by weight and sorted.  They build
+the package's own word classes, so its reports compare with them directly.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from plethysm import hwv
 from plethysm.hwv import BadShapeError, generators_k2, generators_k3
 from plethysm.polynomials import Polynomial
 from plethysm.tableaux import Diagram, normalize_partition, pad
@@ -213,3 +219,41 @@ def grouped_words(k: int, m: int, variant: str) -> list[tuple[Diagram, list]]:
         by_diagram.setdefault(w.diagram(), []).append(w)
     return [(diagram, sorted(by_diagram[diagram], key=lambda w: w.sort_key()))
             for diagram in sorted(by_diagram, reverse=True)]
+
+
+# The family of each x = (p - 2d) + 2(q - 2e), as the field-order loop meets it.
+_FAMILY_OF_X = {p + 2 * q: family for family, (p, q) in hwv._FAMILIES.items()}
+
+
+def field_order_basis(m: int, variant: str) -> list[hwv.GeneratorWord]:
+    """The words of grade m, in field order.
+
+    The grade is a + 2b + 3c + 2d + 4e + x with x = (p - 2d) + 2(q - 2e) in
+    0..3, and each x belongs to one family, so each (a, b, c, d) gives one
+    word; looping over them in field order lists the words in sorted order.
+    """
+    hwv._check_component(m, variant)
+    words = []
+    for a in range(m + 1):
+        for b in range((m - a) // 2 + 1):
+            for c in range(min(1, (m - a - 2 * b) // 3) + 1):
+                rest = m - a - 2 * b - 3 * c
+                for d in range(rest // 2 + 1):
+                    e, x = divmod(rest - 2 * d, 4)
+                    family, f = _FAMILY_OF_X[x]
+                    if (family == "sym") == (variant == "sym"):
+                        words.append(hwv.GeneratorWord(a, b, c, d, e, f, family))
+    return words
+
+
+def field_order_entries(k: int, m: int, variant: str) -> list[tuple[Diagram, tuple]]:
+    """(diagram, words) per constituent: the words in order, grouped by the
+    weight the factor table gives them, weights in decreasing order."""
+    words = (field_order_basis(m, variant) if k == 3 else
+             [hwv.WordK2(m - j, j) for j in range(variant == "alt", m + 1, 2)])
+    by_weight: dict[tuple[int, ...], list] = {}
+    for w in words:
+        by_weight.setdefault(w.weight(), []).append(w)
+    # a weight is its diagram padded with zeros, so the two sort alike
+    return [(normalize_partition(weight), tuple(by_weight[weight]))
+            for weight in sorted(by_weight, reverse=True)]
