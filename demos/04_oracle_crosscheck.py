@@ -1,10 +1,13 @@
 """Check the closed-form tables against two brute-force oracles.
 
-Oracle one never touches a polynomial: it tabulates weights of monomial
-multisets and inverts the Kostka matrix.  Oracle two never counts
-tableaux: it builds the actual isotypic weight space and computes the
-exact integer rank of the stacked raising operators.  Both reproduce the
-word counts, and the Weyl dimension formula closes the books.
+Oracle one never touches a polynomial: it counts the weights of monomial
+multisets at three rows by the cycle index of S_3, reads the multiplicities
+off by the Weyl alternant, and proves by the Weyl dimension formula that no
+constituent of more rows was missed.  Oracle two never counts tableaux: it
+names the isotypic weight space by orbits and computes the exact integer
+rank of the adjacent raising operators on it, one sparse row per basis
+vector.  Both reproduce the word counts, and the Weyl dimension formula
+closes the books.
 """
 
 import math
@@ -18,11 +21,13 @@ from plethysm import (
     weyl_dimension,
 )
 
-# Character-level oracle, m = 4 alternating: multiset weights + Kostka.
+# Character-level oracle, m = 4 alternating: the weight table and the
+# alternant read-off, the same at n = 3 and at n = 6.
 m, n = 4, 3
 table = decompose(3, m, "alt").multiplicities()
 print("alt m=4 table:", table)
 assert multiplicities_by_kostka(m, n, "alt") == table
+assert multiplicities_by_kostka(m, 6, "alt") == table
 
 # Kernel-level oracle on the interesting shapes.  This one works inside
 # the honest representation, in orbit coordinates: each orbit of monomial

@@ -214,7 +214,7 @@ def cmd_hwv(parser: argparse.ArgumentParser, args) -> int:
     if sum(shape) != args.k * args.m:
         parser.error(f"|shape| must equal k*m = {args.k * args.m}")
     _check_size(args)
-    report = hwv.decompose(args.k, args.m, args.variant)
+    report = hwv.diagram_report(args.k, args.m, args.variant, shape)
     if args.format == "json":
         _emit(report.json_chunks(expand=args.expand, shape=shape), args.output)
     else:

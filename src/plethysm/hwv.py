@@ -30,7 +30,8 @@ For k = 2 the words are alpha^i * gamma^j with alpha = x[1][1]*x[1][2] and
 gamma = delta[1][2], j even for the invariants and odd for the sign part.
 ``decompose(k, m, variant)``, the entry point for both k, lists the words
 diagram by diagram; for k = 3 it solves each diagram's weight equations for
-its words.  A word's grade, weight, expansion and printed form are read off
+its words, and ``diagram_report`` solves one diagram alone, for ``hwv
+--shape``.  A word's grade, weight, expansion and printed form are read off
 one factor table, ``_FACTORS``, of each generator's label, grade and weight.
 ``verify`` checks the k = 3 rows of that table against the generators,
 requires each word's weight to be the diagram it is listed under, and
@@ -598,4 +599,26 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
         entries = tuple(DecompositionEntry(tuple(part for part in (2 * m - j, j) if part),
                                            (tuple.__new__(WordK2, (m - j, j)),))
                         for j in range(variant == "alt", m + 1, 2))
+    return DecompositionReport(k=k, m=m, variant=variant, entries=entries)
+
+
+def diagram_report(k: int, m: int, variant: str, diagram) -> DecompositionReport:
+    """The entry of ``decompose(k, m, variant)`` with this diagram, alone in a
+    report, or no entry if the diagram has no words.  Only this diagram is
+    solved, and the cache of ``decompose`` is left as it is.  For k = 2 a
+    diagram (l1, l2) of 2m has the one word alpha^((l1 - l2) / 2)*gamma^l2
+    when l2 is even (sym) or odd (alt)."""
+    if type(k) is not int or k not in (2, 3):
+        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
+    _check_component(m, variant)
+    diagram = normalize_partition(diagram)
+    if len(diagram) > k or sum(diagram) != k * m:
+        words = ()
+    elif k == 3:
+        words = _diagram_words(diagram, variant)
+    else:
+        l1, l2 = pad(diagram, 2)
+        words = ((tuple.__new__(WordK2, ((l1 - l2) // 2, l2)),)
+                 if l2 % 2 == (variant == "alt") else ())
+    entries = (DecompositionEntry(diagram, words),) if words else ()
     return DecompositionReport(k=k, m=m, variant=variant, entries=entries)

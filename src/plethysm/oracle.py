@@ -11,7 +11,12 @@ Two cross-checks that share no code with the word enumeration:
    both signs.  Multiplying the character by the Vandermonde a_δ and reading
    the coefficient of x^(λ+δ) gives the multiplicity of the weight-λ
    constituent, which inverts the Kostka matrix in closed form.  It is read
-   off in one pass over the table, with one sign per sort order.
+   off in one pass over the table, with one sign per sort order.  Setting
+   every variable past the third to zero keeps exactly the constituents of
+   at most three rows, so the table and the read-off are taken at min(n, 3)
+   rows, whatever n is.  The Weyl dimensions of the constituents found, at
+   n, must then sum to the dimension of the whole module: an exact
+   certificate that no constituent of more rows was missed.
 
 2. Kernel computation.  The multiplicity of the weight-D constituent equals
    the dimension of the joint kernel of the adjacent raising operators on the
@@ -37,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import add, le, sub
 
 from .actions import permutation_sign
@@ -160,35 +165,47 @@ def weight_table_plethysm(m: int, n: int, variant: str) -> dict[tuple[int, ...],
 def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]:
     """Irreducible multiplicities read off the weight table by the Weyl alternant.
 
-    The character is χ = Σ_μ table[μ]·x^μ = Σ_λ m_λ·s_λ, and s_λ·a_δ = a_(λ+δ)
-    with δ = (n-1, ..., 0) (Macdonald I.3), so m_λ is the coefficient of
-    x^(λ+δ) in χ·a_δ.  As χ is symmetric, that coefficient is
+    The work is done at r = min(n, 3) rows.  Setting x_(r+1), ..., x_n to zero
+    turns the character in n variables into the table in r variables, and
+    maps s_λ(x_1, ..., x_n) to s_λ(x_1, ..., x_r) when λ has at most r rows
+    and to 0 otherwise (Macdonald I.3).  So χ = Σ_μ table[μ]·x^μ is
+    Σ_λ m_λ·s_λ over the constituents of at most r rows, each with its
+    multiplicity in n variables.  As s_λ·a_δ = a_(λ+δ) with
+    δ = (r-1, ..., 0), m_λ is the coefficient of x^(λ+δ) in χ·a_δ.  As χ is
+    symmetric, that coefficient is
 
-        m_λ = Σ_{w ∈ S_n} sgn(w) · table[w(λ + δ) - δ],
+        m_λ = Σ_{w ∈ S_r} sgn(w) · table[w(λ + δ) - δ],
 
     the inverse Kostka matrix applied in closed form.  The sum is taken from
     the table's side: each weight μ whose μ + δ has distinct coordinates adds
     sgn(w)·table[μ] to m_λ, where w sorts μ + δ into λ + δ, and every other
     weight adds nothing.  That is one pass over the table, with no sum over
-    S_n, which would cost n! lookups per λ when n is large and m small.  The
-    sign depends only on the order w, and few orders occur, so each one's
-    sign is computed once per call.  Diagrams come back with trailing zeros
-    stripped, in decreasing lexicographic order, and only nonzero
-    multiplicities are kept.
+    S_r.  The sign depends only on the order w, and few orders occur, so each
+    one's sign is computed once per call.
+
+    The restriction cannot see a constituent of more than three rows, so the
+    result is then proved complete: Σ m_λ·dim V_λ(GL_n) must equal the
+    dimension of the module, C(d + 2, 3) for sym and C(d, 3) for alt, with
+    d = C(m + n - 1, n - 1) monomials of degree m (d = 1 if n = m = 0, else
+    0 at n = 0).  Every m_λ is nonnegative and every dimension positive, so
+    equality leaves no room for a missing constituent; a mismatch raises
+    AssertionError.  Diagrams come back with trailing zeros stripped, in
+    decreasing lexicographic order, and only nonzero multiplicities are kept.
     """
-    table = weight_table_plethysm(m, n, variant)
-    delta = tuple(range(n - 1, -1, -1))
+    rows = min(n, 3)
+    table = weight_table_plethysm(m, rows, variant)
+    delta = tuple(range(rows - 1, -1, -1))
     signs: dict[tuple[int, ...], int] = {}
     lifts: dict[tuple[int, ...], int] = {}  # λ + δ -> m_λ
     # Per weight, only lists and tuples of lists: CPython builds a tuple from
     # an iterator at a guessed length and trims it, and freed trimmed tuples
     # pile up (to 2000) in a free list such builds never reuse; at
-    # (m, n) = (8, 4) that cost the read-off about 130 KB of peak memory.
+    # (m, n) = (8, 4), read off at four rows, that cost about 130 KB of peak memory.
     for weight, count in table.items():
         lifted = list(map(add, weight, delta))
-        if len(set(lifted)) < n:
+        if len(set(lifted)) < rows:
             continue
-        order = sorted(range(n), key=lifted.__getitem__, reverse=True)
+        order = sorted(range(rows), key=lifted.__getitem__, reverse=True)
         w = tuple(order)
         sign = signs.get(w)
         if sign is None:
@@ -201,8 +218,17 @@ def multiplicities_by_kostka(m: int, n: int, variant: str) -> dict[Diagram, int]
             raise AssertionError(
                 f"negative multiplicity {value} at {shape}: the read-off is broken"
             )
-    return {normalize_partition(shape): mults[shape]
-            for shape in sorted(mults, reverse=True) if mults[shape]}
+    result = {normalize_partition(shape): mults[shape]
+              for shape in sorted(mults, reverse=True) if mults[shape]}
+    d = comb(m + n - 1, n - 1) if n else int(m == 0)
+    total = comb(d + 2, 3) if variant == "sym" else comb(d, 3)
+    found = sum(value * weyl_dimension(shape, n) for shape, value in result.items())
+    if found != total:
+        raise AssertionError(
+            f"constituent dimensions sum to {found}, not the module's {total}: "
+            f"a constituent is missing"
+        )
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -424,13 +450,16 @@ def hwv_kernel_multiplicity(m: int, n: int, shape, variant: str,
 
 
 def weyl_dimension(shape, n: int) -> int:
-    """Dimension of the irreducible GL_n module with the given highest weight."""
+    """Dimension of the irreducible GL_n module with the given highest weight:
+    the product over i < j of (λ_i - λ_j + j - i) / (j - i).  A pair of rows
+    past the shape's length has λ_i = λ_j = 0 and the factor 1, so i runs
+    over the shape's rows only, and n rows cost O(len(shape)·n) factors."""
     shape = normalize_partition(shape)
     if len(shape) > n:
         raise ValueError(f"{shape} has more than {n} rows")
     lam = pad(shape, n)
     num = den = 1
-    for i in range(n):
+    for i in range(len(shape)):
         for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
             den *= j - i

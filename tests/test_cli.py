@@ -162,6 +162,30 @@ def test_hwv_k2_reads_the_decomposition(capsys):
     assert code == 0 and out == ""
 
 
+def test_hwv_solves_only_its_diagram(monkeypatch, capsys):
+    """`hwv --shape` prints what it printed from the whole decomposition,
+    byte for byte, without building that decomposition."""
+    cases = [["--m", "6", "--shape", "12,6"], ["--m", "3", "--shape", "8,1"],
+             ["--m", "40", "--shape", "60,40,20"], ["--m", "40", "--shape", "119,1"],
+             ["--m", "2", "--variant", "alt", "--shape", "4,1,1", "--expand"],
+             ["--k", "2", "--m", "3", "--variant", "alt", "--shape", "5,1"],
+             ["--k", "2", "--m", "3", "--shape", "5,1"], ["--k", "2", "--m", "4", "--shape", "8"]]
+    argvs = [["hwv", *case, *fmt] for case in cases for fmt in ([], ["--format", "json"])]
+    # the report `hwv` read before: the whole decomposition
+    monkeypatch.setattr(hwv, "diagram_report", lambda k, m, variant, diagram:
+                        decompose(k, m, variant))
+    before = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.undo()
+
+    def no_report(*args):
+        raise AssertionError("the whole decomposition was built")
+
+    monkeypatch.setattr(hwv, "decompose", no_report)
+    for argv, (code, out) in zip(argvs, before):
+        assert code == 0
+        assert run(capsys, *argv) == (0, out), argv
+
+
 def test_instance_too_large_exits_3(capsys):
     assert main(["verify", "--m", "81"]) == 3
     captured = capsys.readouterr()
@@ -191,6 +215,7 @@ def test_a_command_at_its_limit_runs_and_one_past_it_exits_3_before_any_work(
         raise WorkStarted
 
     monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(hwv, "diagram_report", no_work)
     monkeypatch.setattr(verify, "run_verification", no_work)
     monkeypatch.setitem(cli.LIMITS, limit, size)
     with pytest.raises(WorkStarted):
@@ -373,6 +398,7 @@ def test_expand_past_the_degree_bound_exits_3_before_any_work(monkeypatch, capsy
         raise AssertionError("work started")
 
     monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(hwv, "diagram_report", no_work)
     monkeypatch.setattr(hwv.GeneratorWord, "expand", no_work)
     monkeypatch.setattr(hwv.WordK2, "expand", no_work)
     assert main(argv) == 3
@@ -416,6 +442,7 @@ def test_unwritable_output_exits_2_before_any_work(monkeypatch, tmp_path, capsys
         raise AssertionError("work started")
 
     monkeypatch.setattr(hwv, "decompose", no_work)
+    monkeypatch.setattr(hwv, "diagram_report", no_work)
     monkeypatch.setattr(tableaux, "kostka", no_work)
     monkeypatch.setattr(verify, "run_verification", no_work)
     target = tmp_path / "missing" / "out"

@@ -28,7 +28,7 @@ from plethysm.hwv import (
     words_for_weight,
 )
 from plethysm.polynomials import TERMS_PER_PIECE, Monomial, Polynomial, variable
-from plethysm.tableaux import column_minor
+from plethysm.tableaux import column_minor, normalize_partition
 
 
 def test_generator_shapes():
@@ -275,6 +275,32 @@ def test_words_for_weight_is_the_report_entry_to_m_30():
             report = decompose(3, m, variant)
             for shape in hwv._shapes(m):
                 assert words_for_weight(m, shape, variant) == list(report.words_of(shape))
+
+
+def test_diagram_report_is_the_report_entry_to_m_30():
+    for k in (2, 3):
+        for m in range(31):
+            for variant in ("sym", "alt") if m else ("sym",):
+                report = decompose(k, m, variant)
+                diagrams = [tuple(p for p in (k * m - j, j) if p) for j in range(m + 1)]
+                if k == 3:
+                    diagrams = hwv._shapes(m) + [(3 * m + 1,), (m, m, m, 0, 0)]
+                entry_of = {e.diagram: (e,) for e in report.entries}
+                for diagram in diagrams + [(1,) * (k + 1)]:
+                    entries = entry_of.get(normalize_partition(diagram), ())
+                    assert hwv.diagram_report(k, m, variant, diagram) == (k, m, variant, entries)
+
+
+def test_diagram_report_leaves_the_decompose_cache_alone():
+    before = decompose.cache_info()
+    report = hwv.diagram_report(3, 191, "alt", (300, 200, 73))
+    assert report.words() == words_for_weight(191, (300, 200, 73), "alt")
+    assert len(report.words()) == multiplicity_closed_form((300, 200, 73), "alt") == 16
+    assert hwv.diagram_report(2, 191, "sym", (382,)).words() == [WordK2(191, 0)]
+    assert decompose.cache_info() == before
+    for k, m, variant in [(4, 1, "sym"), (3, -1, "sym"), (3, 0, "alt"), (2, 1, "both")]:
+        with pytest.raises(ValueError):
+            hwv.diagram_report(k, m, variant, (3 * m,))
 
 
 def test_multiplicity_closed_form_values():

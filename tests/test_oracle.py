@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import character_reference
 import kernel_reference
 import partition_reference
+import weyl_reference
 from partition_reference import _partitions
 from rank_reference import _rank_bareiss
 from plethysm import actions, oracle
@@ -544,6 +545,66 @@ def test_weyl_dimension():
     assert weyl_dimension((), 5) == 1
     with pytest.raises(ValueError):
         weyl_dimension((1, 1, 1, 1), 3)
+
+
+def test_weyl_dimension_matches_the_all_pairs_formula():
+    cases = 0
+    for size in range(7):
+        for shape in _partitions(size, 4):
+            for n in range(9):
+                if len(shape) > n:
+                    for fn in (weyl_dimension, weyl_reference.weyl_dimension):
+                        with pytest.raises(ValueError):
+                            fn(shape, n)
+                else:
+                    assert weyl_dimension(shape, n) == weyl_reference.weyl_dimension(shape, n)
+                    cases += 1
+    assert cases == 182  # 27 shapes, each at every n from its length to 8
+
+
+def test_weyl_dimension_at_a_thousand_rows():
+    # the reference's value, pinned: the reference multiplies all 499500
+    # pairs of rows, which builds products near 1000!^3, too slow for a test.
+    # It is also the hook-content formula, Π (n + content) / Π hook, with
+    # contents 0, 1, 2, -1, 0, -2 and hooks 5, 3, 1, 3, 1, 1.
+    assert 1000 ** 2 * 1001 * 1002 * 999 * 998 // 45 == 22222111111200000
+    assert weyl_dimension((3, 2, 1), 1000) == 22222111111200000
+
+
+def test_character_oracle_at_forty_rows_is_the_three_row_answer():
+    for variant in ("sym", "alt"):
+        assert multiplicities_by_kostka(3, 40, variant) == multiplicities_by_kostka(3, 3, variant)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 40])
+def test_a_weight_lost_from_the_restricted_table_fails_the_dimension_certificate(
+        monkeypatch, n):
+    # the lex-largest weight is dominant and counted by its own constituent
+    # alone, so losing it zeroes that multiplicity and no other: the read-off
+    # stays nonnegative and only the dimension sum can see the loss
+    table = oracle.weight_table_plethysm
+    rows = []
+
+    def lossy(m, r, variant):
+        rows.append(r)
+        out = table(m, r, variant)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(oracle, "weight_table_plethysm", lossy)
+    for variant in ("sym", "alt"):
+        with pytest.raises(AssertionError, match="constituent dimensions sum to"):
+            multiplicities_by_kostka(3, n, variant)
+    assert rows == [min(n, 3)] * 2
+
+
+def test_character_tables_past_the_recursion_limit():
+    # the character oracle works at three rows; its tables still list the
+    # monomials of any number of rows with no recursion
+    assert monomial_exponents(0, 1000) == ((0,) * 1000,)
+    units = monomial_exponents(1, 1000)
+    assert units == tuple(tuple(int(i == j) for i in range(1000)) for j in range(1000))
+    assert weight_table_plethysm(0, 1000, "sym") == {(0,) * 1000: 1}
 
 
 def test_dimension_conservation_small():
