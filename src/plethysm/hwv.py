@@ -29,9 +29,11 @@ distinct leading monomials, which is how linear independence is proved.
 For k = 2 the words are alpha^i * gamma^j with alpha = x[1][1]*x[1][2] and
 gamma = delta[1][2], j even for the invariants and odd for the sign part.
 ``decompose(k, m, variant)``, the entry point for both k, lists the words
-diagram by diagram; for k = 3 it solves each diagram's weight equations for
-its words, and ``diagram_report`` solves one diagram alone, for ``hwv
---shape``.  A word's grade, weight, expansion and printed form are read off
+diagram by diagram: ``_shapes`` lists the diagrams of km with at most k rows
+and ``_diagram_words`` solves each diagram's weight equations for its words,
+for either k.  ``diagram_report`` solves one diagram alone, for ``hwv
+--shape``; both build their report in ``_report``, which checks k and the
+component.  A word's grade, weight, expansion and printed form are read off
 one factor table, ``_FACTORS``, of each generator's label, grade and weight.
 ``verify`` checks the k = 3 rows of that table against the generators,
 requires each word's weight to be the diagram it is listed under, and
@@ -321,11 +323,19 @@ def enumerate_basis(m: int, variant: str) -> list[GeneratorWord]:
     return sorted(decompose(3, m, variant).words())
 
 
-def _diagram_words(diagram: Diagram, variant: str) -> tuple[GeneratorWord, ...]:
-    """The words of the variant whose weight is the diagram (l1, l2, l3), in
-    field order, unchecked.  With s = 2b + 3c (s != 1 fixes b and c, as c <= 1)
-    the table gives l3 = p, l1 - l2 = 3a + s, l2 - l3 = s + 3q; l3 and the
-    variant fix q mod 2, hence s mod 6.  A descending s is an ascending a."""
+def _diagram_words(k: int, diagram: Diagram, variant: str) -> tuple:
+    """The words of k and the variant whose weight is the diagram, in field
+    order, unchecked; the diagram has at most k rows.
+
+    For k = 2 a diagram (l1, l2) has the one word alpha^((l1 - l2) / 2)*gamma^l2
+    when l2 is even (sym) or odd (alt).  For k = 3 and (l1, l2, l3), with
+    s = 2b + 3c (s != 1 fixes b and c, as c <= 1) the table gives l3 = p,
+    l1 - l2 = 3a + s, l2 - l3 = s + 3q; l3 and the variant fix q mod 2, hence
+    s mod 6.  A descending s is an ascending a."""
+    if k == 2:
+        l1, l2 = pad(diagram, 2)
+        return ((tuple.__new__(WordK2, ((l1 - l2) // 2, l2)),)
+                if l2 % 2 == (variant == "alt") else ())
     l1, l2, p = pad(diagram, 3)
     u, v = l1 - l2, l2 - p
     if (u - v) % 3:
@@ -339,12 +349,12 @@ def _diagram_words(diagram: Diagram, variant: str) -> tuple[GeneratorWord, ...]:
 
 
 def words_for_weight(m: int, shape, variant: str) -> list[GeneratorWord]:
-    """The words of grade m whose weight is the diagram; none unless |shape| = 3m."""
+    """The k = 3 words of grade m whose weight is the diagram; none unless
+    |shape| = 3m."""
     shape = normalize_partition(shape)
     if len(shape) > 3:
         raise BadShapeError(f"{shape} has more than three rows")
-    _check_component(m, variant)
-    return list(_diagram_words(shape, variant)) if sum(shape) == 3 * m else []
+    return diagram_report(3, m, variant, shape).words()
 
 
 def multiplicity_closed_form(shape, variant: str) -> int:
@@ -571,54 +581,42 @@ def _diagram_str(diagram: Diagram) -> str:
     return "(" + ",".join(map(str, diagram)) + ")"
 
 
-def _shapes(m: int) -> list[Diagram]:
-    """The diagrams of 3m with at most three rows, in decreasing lex order;
-    l1 >= l2 >= l3 >= 0 puts l2 between (3m - l1) / 2 and min(l1, 3m - l1)."""
-    total = 3 * m
-    return [tuple(part for part in (l1, l2, total - l1 - l2) if part)
+def _shapes(k: int, m: int) -> list[Diagram]:
+    """The diagrams of km with at most k rows (k = 2 or 3), in decreasing lex
+    order; l1 >= l2 >= l3 >= 0 puts l2 between (km - l1) / (k - 1) and
+    min(l1, km - l1), so l3 = km - l1 - l2 is 0 for k = 2."""
+    total = k * m
+    return [tuple(filter(None, (l1, l2, total - l1 - l2)))
             for l1 in range(total, m - 1, -1)
-            for l2 in range(min(l1, total - l1), (total - l1 + 1) // 2 - 1, -1)]
+            for l2 in range(min(l1, total - l1), (total - l1 + k - 2) // (k - 1) - 1, -1)]
+
+
+def _report(k: int, m: int, variant: str, diagrams) -> DecompositionReport:
+    """The report of the diagrams in ``diagrams(k, m)`` that have words, each
+    solved by ``_diagram_words``, once k, m and the variant are checked."""
+    if type(k) is not int or k not in _FACTORS:
+        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
+    _check_component(m, variant)
+    entries = tuple(DecompositionEntry(diagram, words) for diagram in diagrams(k, m)
+                    if (words := _diagram_words(k, diagram, variant)))
+    return DecompositionReport(k=k, m=m, variant=variant, entries=entries)
 
 
 @lru_cache(maxsize=None, typed=True)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
-    """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}.
-
-    Diagrams in decreasing lex order, words in field order: for k = 3 the
-    diagrams of 3m that ``_diagram_words`` finds words for; for k = 2
-    each alpha^(m-j)*gamma^j, j even (sym) or odd (alt), alone in (2m - j, j).
+    """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}:
+    the diagrams of ``_shapes(k, m)`` that ``_diagram_words`` finds words
+    for, in decreasing lex order, each with its words in field order.
     Reports are immutable: each (k, m, variant), int k and m, is built once.
     """
-    if type(k) is not int or k not in (2, 3):
-        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
-    _check_component(m, variant)
-    if k == 3:
-        entries = tuple(DecompositionEntry(diagram, words) for diagram in _shapes(m)
-                        if (words := _diagram_words(diagram, variant)))
-    else:  # the j loop gives only valid fields: no checks
-        entries = tuple(DecompositionEntry(tuple(part for part in (2 * m - j, j) if part),
-                                           (tuple.__new__(WordK2, (m - j, j)),))
-                        for j in range(variant == "alt", m + 1, 2))
-    return DecompositionReport(k=k, m=m, variant=variant, entries=entries)
+    return _report(k, m, variant, _shapes)
 
 
 def diagram_report(k: int, m: int, variant: str, diagram) -> DecompositionReport:
     """The entry of ``decompose(k, m, variant)`` with this diagram, alone in a
     report, or no entry if the diagram has no words.  Only this diagram is
-    solved, and the cache of ``decompose`` is left as it is.  For k = 2 a
-    diagram (l1, l2) of 2m has the one word alpha^((l1 - l2) / 2)*gamma^l2
-    when l2 is even (sym) or odd (alt)."""
-    if type(k) is not int or k not in (2, 3):
-        raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
-    _check_component(m, variant)
-    diagram = normalize_partition(diagram)
-    if len(diagram) > k or sum(diagram) != k * m:
-        words = ()
-    elif k == 3:
-        words = _diagram_words(diagram, variant)
-    else:
-        l1, l2 = pad(diagram, 2)
-        words = ((tuple.__new__(WordK2, ((l1 - l2) // 2, l2)),)
-                 if l2 % 2 == (variant == "alt") else ())
-    entries = (DecompositionEntry(diagram, words),) if words else ()
-    return DecompositionReport(k=k, m=m, variant=variant, entries=entries)
+    solved, and the cache of ``decompose`` is left as it is."""
+    def alone(k: int, m: int) -> list[Diagram]:
+        shape = normalize_partition(diagram)
+        return [shape] if len(shape) <= k and sum(shape) == k * m else []
+    return _report(k, m, variant, alone)

@@ -473,9 +473,12 @@ def test_kernel_oracle_ranks_match_bareiss_up_to_m4(monkeypatch):
         assert rank(rows) == _rank_bareiss(dense(rows))
 
 
-def test_kernel_oracle_past_the_recursion_limit():
-    # the monomials of degree one in 1200 variables, listed with no recursion
-    assert hwv_kernel_multiplicity(1, 1200, (3,), "sym") == 1
+def test_kernel_oracle_at_1200_variables_matches_closed_form():
+    # the kernel works on the shape's own three rows, whatever n is
+    for shape in [(6, 4, 2), (5, 5, 2), (8, 3, 1)]:
+        for variant in ("sym", "alt"):
+            assert hwv_kernel_multiplicity(4, 1200, shape, variant) == (
+                multiplicity_closed_form(shape, variant)), (shape, variant)
 
 
 def test_kernel_oracle_matches_closed_form_m4_to_m10():

@@ -11,8 +11,9 @@ from plethysm import hwv, oracle, tableaux, verify
 
 
 def test_shapes_match_the_recursive_lister_to_m_120():
-    for m in range(121):
-        assert hwv._shapes(m) == _partitions(3 * m, 3), m
+    for k in (2, 3):
+        for m in range(121):
+            assert hwv._shapes(k, m) == _partitions(k * m, k), (k, m)
 
 
 def test_a_word_listed_under_the_wrong_diagram_fails_its_check(monkeypatch):
@@ -20,13 +21,13 @@ def test_a_word_listed_under_the_wrong_diagram_fails_its_check(monkeypatch):
     table weight to the diagram it is listed under."""
     solve = hwv._diagram_words
 
-    def misfiled(diagram, variant):
+    def misfiled(k, diagram, variant):
         # the word a1^2*a2 of (10, 2) moves under (12,), after a1^4
         if variant == "sym" and diagram == (12,):
-            return solve((12,), variant) + solve((10, 2), variant)
+            return solve(k, (12,), variant) + solve(k, (10, 2), variant)
         if variant == "sym" and diagram == (10, 2):
             return ()
-        return solve(diagram, variant)
+        return solve(k, diagram, variant)
 
     assert verify.check_word_leading_monomials(4).passed
     monkeypatch.setattr(hwv, "_diagram_words", misfiled)
