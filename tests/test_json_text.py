@@ -56,7 +56,11 @@ def test_emitter_matches_the_json_encoder(p, level):
     Polynomial.constant(1 << 64) - variable(1, 1),
     -(3 * variable(4, 1) * variable(1, 4) - variable(4, 4) ** 2 + 1),
     variable(4, 4) ** MAX_DEGREE - (1 << 65) * variable(1, 1) ** MAX_DEGREE,
-], ids=["zero", "constant", "past-2^64", "row-and-column-4", "max-degree"])
+    # all 969 monomials of degree <= 3, the constant last: eight runs of terms,
+    # three of which mix terms with and without an x[i][1]
+    (1 + sum((-1) ** (r + c) * variable(r, c) for r, c in VARS)) ** 3,
+], ids=["zero", "constant", "past-2^64", "row-and-column-4", "max-degree",
+        "runs-without-column-1"])
 def test_emitter_edge_cases(p, level):
     assert joined(p, level) == encoded(p, level)
 

@@ -298,6 +298,14 @@ def test_leading_monomial_is_multiplicative(f, g):
 
 
 @given(polys(), polys())
+def test_no_product_holds_a_zero_coefficient(f, g):
+    # the product rebuilds its terms only when a sum cancelled; (f + g)(f - g)
+    # cancels its cross terms whenever f and g share a monomial
+    for product in (f * g, (f + g) * (f - g), f * f * g):
+        assert all(coeff for _, coeff in product.terms())
+
+
+@given(polys(), polys())
 def test_substitution_is_a_ring_map(f, g):
     sub = {
         (i, j): variable(1, i) - 2 * variable(j, 1)

@@ -13,7 +13,7 @@ from plethysm import hwv, oracle, tableaux, verify
 def test_shapes_match_the_recursive_lister_to_m_120():
     for k in (2, 3):
         for m in range(121):
-            assert hwv._shapes(k, m) == _partitions(k * m, k), (k, m)
+            assert list(hwv._shapes(k, m)) == _partitions(k * m, k), (k, m)
 
 
 def test_a_word_listed_under_the_wrong_diagram_fails_its_check(monkeypatch):
