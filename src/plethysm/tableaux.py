@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 from .actions import permutation_sign
 from .polynomials import Monomial, Polynomial, variable
@@ -181,10 +182,13 @@ def kostka(shape, content) -> int:
     return kostka_within(shape, tuple(content)).get(shape, 0)
 
 
+@lru_cache(maxsize=None)
 def column_minor(entries: tuple[int, ...]) -> Polynomial:
     """The s-by-s minor on rows 1..s and the given column indices.
 
-    The column indices must be strictly increasing; s is their count.
+    The column indices must be strictly increasing; s is their count.  A
+    polynomial is immutable, so each minor is built once and shared: the
+    4-by-4 layout holds 15 of them, and a tableau vector multiplies a few.
     """
     s = len(entries)
     if any(entries[i] >= entries[i + 1] for i in range(s - 1)):

@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import actions, hwv, oracle, tableaux
-from .polynomials import Monomial
+from .polynomials import Monomial, Polynomial
 
 
 def _components(m_lo: int, m_hi: int) -> Iterator[tuple[int, str]]:
@@ -127,28 +127,74 @@ def check_leading_monomial_table() -> CheckResult:
     )
 
 
+def _expansions(words) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+    """(exponents, expansion) of each k = 3 word in `words` that the walk
+    reaches, depth first from the empty word through listed words only.
+
+    A word's parent is the word with its first nonzero exponent, in factor
+    table order, lowered by one, so the word is its parent times that
+    generator, one product per word.  alpha1, a single term, comes first in
+    the table, so it is the last factor of every word that has it.  A word is
+    multiplied out when it is popped: the stack holds the parents on the
+    current path, not the expansions of pending siblings.  A word whose
+    parent is not listed is not reached.
+    """
+    listed = {word.exponents() for word in words}
+    gens = hwv.generators_k3()
+    factors = [gens[name] for _, name, _, _ in hwv._FACTORS[3]]
+    root = (0,) * len(factors)
+    # (exponents, parent's expansion, index of the last factor or None at the root)
+    stack = [(root, Polynomial.one(), None)] if root in listed else []
+    while stack:
+        exps, poly, last = stack.pop()
+        if last is None:
+            last = len(factors) - 1
+        else:
+            poly = factors[last] * poly
+        yield exps, poly
+        for i in range(last + 1):
+            child = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+            if child in listed:
+                stack.append((child, poly, i))
+
+
+def _leading_term(poly: Polynomial) -> tuple[Monomial, int] | None:
+    """The leading monomial and coefficient, or None for zero."""
+    return None if poly.is_zero else poly.leading_monomial()
+
+
 def check_word_leading_monomials(max_grade: int) -> CheckResult:
     """LM(f*g) = LM(f)*LM(g), so a word's leading monomial and coefficient
     are the products of its generators' table entries, each raised to the
     word's exponent; the words are expanded and compared with that.  Each
-    word's weight, read off the factor table, must be its entry's diagram."""
+    word's weight, read off the factor table, must be its entry's diagram.
+
+    The listed words are expanded once each by ``_expansions`` and only their
+    leading terms are kept, keyed by exponents; the words are then checked
+    in listing order.  A word that the walk does not reach, because a broken
+    lister left out its parent, is expanded alone by ``word.expand()``."""
+    reports = [(variant, hwv.decompose(3, m, variant))
+               for m, variant in _components(0, max_grade)]
+    leads = {exps: _leading_term(poly) for exps, poly
+             in _expansions(word for _, report in reports for word in report.words())}
     seen: dict[Monomial, str] = {}
     count = 0
     problems = []
-    for m, variant in _components(0, max_grade):
-        for entry in hwv.decompose(3, m, variant).entries:
+    for variant, report in reports:
+        for entry in report.entries:
             weight = tableaux.pad(entry.diagram, 3)
             for word in entry.words:
                 count += 1
                 if word.weight() != weight:
                     problems.append(f"{word}: weight {word.weight()} under {entry.diagram}")
-                poly = word.expand()
-                if poly.is_zero:
+                exps = word.exponents()
+                lead = leads[exps] if exps in leads else _leading_term(word.expand())
+                if lead is None:
                     problems.append(f"{word} expands to zero")
                     continue
-                mono, coeff = poly.leading_monomial()
+                mono, coeff = lead
                 wanted, wanted_coeff = Monomial(), 1
-                for (_, name, _, _), exp in zip(hwv._FACTORS[3], word.exponents()):
+                for (_, name, _, _), exp in zip(hwv._FACTORS[3], exps):
                     lm, c = _LEADING_MONOMIALS[name]
                     wanted, wanted_coeff = wanted * lm ** exp, wanted_coeff * c ** exp
                 if mono != wanted:

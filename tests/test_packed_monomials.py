@@ -31,6 +31,13 @@ def term_lists(max_exp=3, max_vars=5, max_terms=6):
                     max_size=max_terms)
 
 
+def operands():
+    """Term lists, or one term with a coefficient other than 0 and +-1, so
+    that products by a single scaled term are always among the draws."""
+    one_term = st.tuples(exponent_maps(), st.integers(-4, 4).filter(lambda c: abs(c) > 1))
+    return st.one_of(term_lists(), st.lists(one_term, min_size=1, max_size=1))
+
+
 def both(terms):
     """The same polynomial, built term by term, in the packed and the tuple layout."""
     return (Polynomial({Monomial(e): c for e, c in terms}),
@@ -61,7 +68,7 @@ def outcome(fn):
 # differential: every operation agrees with the tuple layout
 
 
-@given(term_lists(), term_lists())
+@given(operands(), operands())
 def test_ring_operations_match_the_tuple_layout(f_terms, g_terms):
     (f, old_f), (g, old_g) = both(f_terms), both(g_terms)
     same(f, old_f)
@@ -236,12 +243,16 @@ def _loop_detecting(f):
 def test_products_and_powers_check_the_degree_before_their_loop():
     f = _loop_detecting(variable(1, 1) ** 200 + variable(2, 1) ** 200)
     g = _loop_detecting(variable(1, 2) ** 56 - variable(2, 2) ** 56)
+    one = _loop_detecting(3 * variable(1, 3) ** 56)  # a one-term factor
     with pytest.raises(AssertionError, match="the product loop ran"):
-        f * variable(1, 2)  # within the bound, the loop runs and is seen
-    with pytest.raises(ValueError, match="total degree 256 exceeds the bound 255"):
-        f * g
-    with pytest.raises(ValueError, match="total degree 256 exceeds the bound 255"):
-        g * f
+        f * (variable(1, 2) - variable(2, 2))  # within the bound, the loop runs and is seen
+    for one_term in (lambda: f * variable(1, 2), lambda: variable(1, 2) * f,
+                     lambda: one * variable(1, 2), lambda: variable(1, 2) * one):
+        with pytest.raises(AssertionError, match="the product loop ran"):
+            one_term()  # so it does with a one-term factor on either side
+    for past in (lambda: f * g, lambda: g * f, lambda: f * one, lambda: one * f):
+        with pytest.raises(ValueError, match="total degree 256 exceeds the bound 255"):
+            past()
     with pytest.raises(ValueError, match="total degree 400 exceeds the bound 255"):
         f ** 2
     with pytest.raises(ValueError, match="total degree 280 exceeds the bound 255"):

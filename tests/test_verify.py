@@ -40,6 +40,46 @@ def test_a_word_listed_under_the_wrong_diagram_fails_its_check(monkeypatch):
     assert result.detail == "a1^2*a2: weight (10, 2, 0) under (12,)"
 
 
+def test_two_words_with_one_leading_monomial_collide_in_the_word_check(monkeypatch):
+    """With gamma2 replaced by alpha2, g2 expands to a2: its leading monomial
+    is off the table and it collides with a2."""
+    gens = dict(hwv.generators_k3(), gamma2=hwv.generators_k3()["alpha2"])
+    monkeypatch.setattr(hwv, "generators_k3", lambda: gens)
+    monkeypatch.setattr(hwv, "_POWERS", {})
+    hwv.decompose.cache_clear()
+    result = verify.check_word_leading_monomials(2)
+    assert result.passed is False
+    assert result.detail == ("g2: leading monomial x[1][1]^2*x[1][2]^2*x[2][3]^2; "
+                             "collision a2 (sym) vs g2 (alt)")
+
+
+def test_a_word_whose_parent_is_not_listed_is_expanded_alone(monkeypatch):
+    """Without a2 in the listing, the walk cannot reach a1*a2, a2^2 and
+    a1^2*a2 from it; the check expands those three alone and still passes,
+    and the whole suite runs to its end."""
+    solve = hwv._diagram_words
+
+    def dropped(k, diagram, variant):
+        words = solve(k, diagram, variant)
+        return tuple(w for w in words if k == 2 or w.exponents() != (0, 1, 0, 0, 0))
+
+    expanded = []
+    expand = hwv.GeneratorWord.expand
+    monkeypatch.setattr(hwv, "_diagram_words", dropped)
+    monkeypatch.setattr(hwv.GeneratorWord, "expand",
+                        lambda word: expanded.append(str(word)) or expand(word))
+    hwv.decompose.cache_clear()
+    try:
+        result = verify.check_word_leading_monomials(4)
+        assert sorted(expanded) == ["a1*a2", "a1^2*a2", "a2^2"]
+        results = verify.run_verification(2)
+    finally:
+        hwv.decompose.cache_clear()
+    assert result == ("word-leading-monomials", True, "32 words through grade 4: exponent "
+                      "relations hold, all leading monomials distinct")
+    assert [r.name for r in results][4] == "word-leading-monomials" and results[4].passed
+
+
 def _closed_form(original):
     return lambda shape, variant: original(shape, variant) + (shape == (6, 3, 3))
 

@@ -1,13 +1,14 @@
 """Word expansion against the paths it replaced: each generator power against
-binary powering, each expanded word against a chain of products in the
-tuple-of-pairs layout, and the degree bound checked before any power is built."""
+binary powering, each expanded word and each word of the word check's walk
+against a chain of products in the tuple-of-pairs layout, and the degree
+bound checked before any power is built."""
 
 import time
 
 import pytest
 
 import tuple_reference as ref
-from plethysm import cli, hwv
+from plethysm import cli, hwv, verify
 from plethysm.hwv import GeneratorWord, generators_k2, generators_k3
 from plethysm.polynomials import Polynomial
 
@@ -38,6 +39,11 @@ def test_words_match_a_chain_of_reference_products(k, variant):
     def lower(exps, i):
         return exps[:i] + (exps[i] - 1,) + exps[i + 1:]
 
+    # the word check's walk, each word its listed parent times one generator
+    walked = dict(verify._expansions(
+        w for m, v in verify._components(0, 10) for w in hwv.decompose(3, m, v).words()
+    )) if k == 3 else {}
+
     for m in range(0 if variant == "sym" else 1, 11):
         for word in hwv.decompose(k, m, variant).words():
             steps, exps = [], word.exponents()
@@ -49,6 +55,7 @@ def test_words_match_a_chain_of_reference_products(k, variant):
                 chains[exps] = chains[lower(exps, last)] * factors[last]
             poly = word.expand()
             assert poly.to_json_obj() == chains[word.exponents()].to_json_obj(), word
+            assert k == 2 or walked[word.exponents()] == poly, word
             # the product rebuilds its terms only when one cancelled: none is left at zero
             assert all(coeff for _, coeff in poly.terms()), word
 
