@@ -307,7 +307,7 @@ class GeneratorWord(_Word, namedtuple("GeneratorWord", "a b c d e f variant")):
 
 def _check_component(m: int, variant: str) -> None:
     """Reject a grade or a component ("sym" or "alt") that has no words."""
-    if type(m) is not int or m < 0:  # True or 1.0 would share the cache key of 1
+    if type(m) is not int or m < 0:  # True or 1.0 would be written as the report's m
         raise ValueError(f"grade must be a nonnegative int, got {m!r}")
     if variant not in ("sym", "alt"):
         raise ValueError(f"variant must be 'sym' or 'alt', got {variant!r}")
@@ -592,7 +592,7 @@ def _shapes(k: int, m: int) -> Iterator[Diagram]:
 def _report(k: int, m: int, variant: str, diagrams) -> DecompositionReport:
     """The report of the diagrams in ``diagrams(k, m)`` that have words, each
     solved by ``_diagram_words``, once k, m and the variant are checked."""
-    if type(k) is not int or k not in _FACTORS:
+    if type(k) is not int or k not in _FACTORS:  # 3.0 would be written as the report's k
         raise ValueError(f"only k = 2 and k = 3 are implemented, got k={k!r}")
     _check_component(m, variant)
     entries = tuple(DecompositionEntry(diagram, words) for diagram in diagrams(k, m)
@@ -600,12 +600,10 @@ def _report(k: int, m: int, variant: str, diagrams) -> DecompositionReport:
     return DecompositionReport(k=k, m=m, variant=variant, entries=entries)
 
 
-@lru_cache(maxsize=None, typed=True)
 def decompose(k: int, m: int, variant: str) -> DecompositionReport:
     """The complete decomposition of S^k(S^m) or Λ^k(S^m) for k in {2, 3}:
     the diagrams of ``_shapes(k, m)`` that ``_diagram_words`` finds words
     for, in decreasing lex order, each with its words in field order.
-    Reports are immutable: each (k, m, variant), int k and m, is built once.
     """
     return _report(k, m, variant, _shapes)
 
@@ -613,7 +611,7 @@ def decompose(k: int, m: int, variant: str) -> DecompositionReport:
 def diagram_report(k: int, m: int, variant: str, diagram) -> DecompositionReport:
     """The entry of ``decompose(k, m, variant)`` with this diagram, alone in a
     report, or no entry if the diagram has no words.  Only this diagram is
-    solved, and the cache of ``decompose`` is left as it is."""
+    solved."""
     def alone(k: int, m: int) -> list[Diagram]:
         shape = normalize_partition(diagram)
         return [shape] if len(shape) <= k and sum(shape) == k * m else []

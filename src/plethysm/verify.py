@@ -444,18 +444,19 @@ def check_specht_images() -> CheckResult:
 
 
 def check_dimension_conservation(m_max: int) -> CheckResult:
-    problems = []
+    by_n = {3: [], 4: []}  # each report is read at both n; n = 3's problems come first
     cases = 0
-    for n in (3, 4):
-        for m, variant in _components(0, m_max):
+    for m, variant in _components(0, m_max):
+        report = hwv.decompose(3, m, variant)
+        for n, problems in by_n.items():
             d = math.comb(m + n - 1, n - 1)
             total = math.comb(d + 2, 3) if variant == "sym" else math.comb(d, 3)
             cases += 1
-            report = hwv.decompose(3, m, variant)
             found = sum(entry.multiplicity * oracle.weyl_dimension(entry.diagram, n)
                         for entry in report.entries)
             if found != total:
                 problems.append(f"m={m} n={n} {variant}: {found} != {total}")
+    problems = by_n[3] + by_n[4]
     return CheckResult(
         "dimension-conservation",
         not problems,

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -289,13 +290,11 @@ def test_diagram_report_is_the_report_entry_to_m_30():
                     assert hwv.diagram_report(k, m, variant, diagram) == (k, m, variant, entries)
 
 
-def test_diagram_report_leaves_the_decompose_cache_alone():
-    before = decompose.cache_info()
+def test_diagram_report_solves_its_diagram_alone_at_m_191():
     report = hwv.diagram_report(3, 191, "alt", (300, 200, 73))
     assert report.words() == words_for_weight(191, (300, 200, 73), "alt")
     assert len(report.words()) == multiplicity_closed_form((300, 200, 73), "alt") == 16
     assert hwv.diagram_report(2, 191, "sym", (382,)).words() == [WordK2(191, 0)]
-    assert decompose.cache_info() == before
     for k, m, variant in [(4, 1, "sym"), (3, -1, "sym"), (3, 0, "alt"), (2, 1, "both")]:
         with pytest.raises(ValueError):
             hwv.diagram_report(k, m, variant, (3 * m,))
@@ -352,25 +351,18 @@ def test_decompose_m6_sym_has_one_double():
     assert report.multiplicities()[(12, 6)] == 2
 
 
-def test_run_verification_builds_each_decomposition_once(monkeypatch):
-    # a k = 3 report solves each diagram once and every check reads the cached
-    # report, except the closed form, which solves each diagram once more;
-    # the k = 2 reports of the k = 2 check are not counted
-    calls = Counter()
-    solve = hwv._diagram_words
-
-    def counting(k, diagram, variant):
-        calls[diagram, variant] += k == 3
-        return solve(k, diagram, variant)
-
-    monkeypatch.setattr(hwv, "_diagram_words", counting)
-    hwv.decompose.cache_clear()
+def test_dimension_conservation_keeps_no_report():
+    # each report is dropped once read: a check to m = 30 leaves less than
+    # 1 MB behind, where keeping the reports of its 61 components holds 4.6 MB
+    verify.check_dimension_conservation(1)  # one-time allocations
+    tracemalloc.start()
     try:
-        results = verify.run_verification(m_max=6)
+        baseline = tracemalloc.get_traced_memory()[0]
+        assert verify.check_dimension_conservation(30).passed
+        retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
-        hwv.decompose.cache_clear()
-    assert all(r.passed for r in results)
-    assert calls[(18,), "alt"] == 2 and max(calls.values()) == 2
+        tracemalloc.stop()
+    assert retained < 2**20, retained
 
 
 def test_decompose_rejects_unknown_k():
@@ -438,15 +430,12 @@ def _m1_document(change):
         "doc-m-float", "doc-entries-null", "doc-variant-list", "m-bool", "k-float",
         "k2-m-float"])
 def test_a_k_or_m_that_is_not_an_int_is_refused(attempt):
-    # a bool or float equal to the int would share its cache key, so the
-    # refusal must hold with and without the int report cached, and the
-    # cached report must keep int fields
-    decompose.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            attempt()
-        report = decompose(3, 1, "sym")
-        assert (type(report.k), type(report.m), report.m) == (int, int, 1)
+    # a bool or float equal to the int would be written into the report's
+    # "k" or "m" field ("m": true), so it is refused; the int report keeps int fields
+    with pytest.raises(ValueError):
+        attempt()
+    report = decompose(3, 1, "sym")
+    assert (type(report.k), type(report.m), report.m) == (int, int, 1)
 
 
 def test_report_text_contains_each_diagram():
@@ -552,16 +541,12 @@ def test_decompose_matches_the_field_order_listing_to_m_80(k, variant):
     """Every report's diagrams, words and word order, and enumerate_basis,
     against the loop that listed every word in field order and grouped the
     words by their table weights."""
-    try:
-        for m in range(0 if variant == "sym" else 1, 81):
-            entries = decompose(k, m, variant).entries
-            assert entries == tuple(word_reference.field_order_entries(k, m, variant)), m
-            if k == 3:
-                assert (enumerate_basis(m, variant)
-                        == word_reference.field_order_basis(m, variant)), m
-            hwv.decompose.cache_clear()  # each report is dropped once compared
-    finally:
-        hwv.decompose.cache_clear()
+    for m in range(0 if variant == "sym" else 1, 81):
+        entries = decompose(k, m, variant).entries
+        assert entries == tuple(word_reference.field_order_entries(k, m, variant)), m
+        if k == 3:
+            assert (enumerate_basis(m, variant)
+                    == word_reference.field_order_basis(m, variant)), m
 
 
 def test_words_for_weight_matches_the_reference():
